@@ -191,7 +191,11 @@ func BenchmarkExhaustiveConvolution(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.Exhaustive(m); err != nil {
+		s, err := core.NewSession(m, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), "exhaustive"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,7 +239,11 @@ func BenchmarkTuneSmall(b *testing.B) {
 		opts := mltune.DefaultOptions(int64(i))
 		opts.TrainingSamples = 200
 		opts.SecondStage = 50
-		if _, err := mltune.Tune(m, opts); err != nil {
+		s, err := mltune.NewSession(m, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), "ml"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -404,8 +412,10 @@ func BenchmarkConvolutionTopMScalarSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkConvolutionTopMBatched is the new engine: blocked batch
-// prediction plus conservative bound pruning, bit-identical results.
+// BenchmarkConvolutionTopMBatched is the production top-M: blocked
+// exact scoring behind the model's own screen (the int16 tables for this
+// freshly trained model) with conservative bound pruning — results
+// bit-identical to the scalar sweep.
 func BenchmarkConvolutionTopMBatched(b *testing.B) {
 	m := convolutionModel(b)
 	b.ResetTimer()
@@ -413,28 +423,6 @@ func BenchmarkConvolutionTopMBatched(b *testing.B) {
 		if got := m.TopM(200); len(got) != 200 {
 			b.Fatal("short result")
 		}
-	}
-}
-
-// BenchmarkConvolutionTopMEngines runs the same full-space top-200 sweep
-// under each inference engine. The result set is engine-independent (the
-// heap only ranks exact reference scores); the engines differ in what the
-// screening pass costs and how tight its bounds are, i.e. how few
-// configurations survive to pay the exact forward pass.
-func BenchmarkConvolutionTopMEngines(b *testing.B) {
-	for _, name := range ann.EngineNames() {
-		b.Run(name, func(b *testing.B) {
-			m, err := convolutionModel(b).WithEngine(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := m.TopM(200); len(got) != 200 {
-					b.Fatal("short result")
-				}
-			}
-		})
 	}
 }
 

@@ -73,9 +73,11 @@ const (
 )
 
 // endpointNames are the report keys. The top-M endpoint reports as
-// topm_full: every request pays a full-space sweep (the incremental
-// warm start only trims the exact pass), and the name is what CI's
-// STRICT_ENDPOINTS gate pins. The -mix alias stays "topm".
+// topm_full, the name CI's STRICT_ENDPOINTS gate pins; the -mix alias
+// stays "topm". Despite the name it does not time a sweep: the daemon
+// caches top-M per (model, M), so after warmup every request is a cache
+// hit (in the committed baselines its request count equals
+// mltuned_topm_cache_hits_total).
 var endpointNames = [numEndpoints]string{"predict_single", "predict_batch", "topm_full"}
 
 func main() {

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -156,22 +155,9 @@ func pollJob(client *http.Client, base, id string, timeout time.Duration) (servi
 }
 
 // verifyPredict round-trips the swapped model: the top-1 configuration
-// from /v1/topm must predict consistently through /v1/predict. On the
-// float64 reference engine "consistently" means bit-identically; when
-// the daemon serves a quantised engine (-engine int16), top-M seconds
-// stay reference-exact by design while predictions carry the engine's
-// bounded error, so the check loosens to a relative tolerance far above
-// any sane quantisation error yet far below config-to-config spread.
+// from /v1/topm must predict bit-identically through /v1/predict — both
+// are scored by the same exact float64 path.
 func verifyPredict(client *http.Client, base, benchName, deviceName string) error {
-	var stats struct {
-		Engine string `json:"engine"`
-	}
-	if err := getJSON(client, base+"/v1/stats", &stats); err != nil {
-		return err
-	}
-	if stats.Engine == "" { // daemons predating the field serve the reference
-		stats.Engine = ann.EngineFloat64
-	}
 	q := fmt.Sprintf("benchmark=%s&device=%s", url.QueryEscape(benchName), url.QueryEscape(deviceName))
 	var top struct {
 		Top []struct {
@@ -191,17 +177,10 @@ func verifyPredict(client *http.Client, base, benchName, deviceName string) erro
 	if err := getJSON(client, fmt.Sprintf("%s/v1/predict?%s&index=%d", base, q, top.Top[0].Index), &pred); err != nil {
 		return err
 	}
-	want, got := top.Top[0].Seconds, pred.Seconds
-	if stats.Engine == ann.EngineFloat64 {
-		if got != want {
-			return fmt.Errorf("train: verify mismatch: top-M %g vs predict %g", want, got)
-		}
-	} else if diff := math.Abs(got-want) / want; diff > 0.05 {
-		return fmt.Errorf("train: verify mismatch on engine %s: top-M %g vs predict %g (%.2f%% apart)",
-			stats.Engine, want, got, diff*100)
+	if want, got := top.Top[0].Seconds, pred.Seconds; got != want {
+		return fmt.Errorf("train: verify mismatch: top-M %g vs predict %g", want, got)
 	}
-	fmt.Printf("verified: best predicted config %d at %.4f ms (engine %s)\n",
-		top.Top[0].Index, pred.Seconds*1e3, stats.Engine)
+	fmt.Printf("verified: best predicted config %d at %.4f ms\n", top.Top[0].Index, pred.Seconds*1e3)
 	return nil
 }
 

@@ -8,8 +8,7 @@
 //	        [-workers N] [-train-workers N] [-backlog N] [-drain-timeout D]
 //	        [-max-inflight N] [-pprof] [-storage localfs|memory]
 //	        [-role all|serve|train] [-upstream URL] [-sync-interval D]
-//	        [-engine float64|int16|int8] [-shard i/n] [-peers URL,...]
-//	        [-rpc-peers ADDR,...]
+//	        [-shard i/n] [-peers URL,...] [-rpc-peers ADDR,...]
 //
 // On startup the registry directory is scanned for saved models
 // (benchmark@device.mlt files in the core.Model.Save format — the same
@@ -31,16 +30,11 @@
 // a model of their own fall back to it, binding the requesting device's
 // descriptor (catalog name or inline descriptor JSON).
 //
-// -engine selects the read path's inference engine. The default float64
-// engine is the exact reference; -engine int16 serves batch predictions
-// through the quantised fixed-point engine, and -engine int8 through
-// the narrower 8-bit engine whose packed weights screen top-M sweeps
-// fastest (each within its proven error bound of the reference — see
-// the README's Engines section). Quantised engines screen top-M
-// sweeps only, so top-M answers stay identical to the reference.
-// Models a quantisation proof does not cover fall back to float64 per
-// model, counted in mltuned_engine_fallbacks_total; /v1/stats and
-// /v1/models report the engine in effect.
+// Every prediction is served by the exact float64 scorer. Top-M sweeps
+// screen the space first — with int16 tables where their error proof
+// covers the model and binding, with a float interval pass otherwise
+// (see the README's Top-M screening section) — and re-score every
+// survivor exactly, so answers never depend on the screen.
 //
 // The daemon splits into planes for fleet deployments. -role train (or
 // the default all) is the train plane: it owns the writable registry.
@@ -125,7 +119,6 @@ func main() {
 		roleFlag     = flag.String("role", "all", "plane to run: all (single node), train (writable source), serve (read-only replica)")
 		upstream     = flag.String("upstream", "", "train-plane base URL a serve replica pulls models from (requires -role serve)")
 		syncEvery    = flag.Duration("sync-interval", 5*time.Second, "replication poll interval when -upstream is set")
-		engine       = flag.String("engine", "", "read-path inference engine: float64 (exact reference, the default), int16 (quantised fixed point) or int8 (packed quantised, fastest top-M screening)")
 		rpcAddr      = flag.String("rpc-addr", "", "binary RPC listen address for the hot read path (empty = HTTP only)")
 		shardSpec    = flag.String("shard", "", "serve as shard i of n over the benchmark@device keyspace (format i/n; empty = own every key)")
 		peers        = flag.String("peers", "", "comma-separated shard-ordered HTTP base URLs of the fleet (fills not_owner redirects)")
@@ -177,9 +170,6 @@ func main() {
 	if *pprof {
 		opts = append(opts, service.WithPprof())
 	}
-	if *engine != "" {
-		opts = append(opts, service.WithEngine(*engine))
-	}
 	if *shardSpec != "" {
 		index, count, err := service.ParseShard(*shardSpec)
 		if err != nil {
@@ -200,8 +190,8 @@ func main() {
 	if regName == "" {
 		regName = reg.Backend().Name()
 	}
-	log.Printf("mltuned: serving on %s as role %s, engine %s (registry %s [%s], %d models)",
-		*addr, srv.Role(), srv.Engine(), regName, reg.Backend().Name(), reg.Len())
+	log.Printf("mltuned: serving on %s as role %s (registry %s [%s], %d models)",
+		*addr, srv.Role(), regName, reg.Backend().Name(), reg.Len())
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -47,13 +47,9 @@ func TestHotStructFieldAlignment(t *testing.T) {
 		typ  reflect.Type
 	}{
 		{"qLayer", reflect.TypeOf(qLayer{})},
-		{"q8Layer", reflect.TypeOf(q8Layer{})},
 		{"QuantizedEnsemble", reflect.TypeOf(QuantizedEnsemble{})},
-		{"Quantized8Ensemble", reflect.TypeOf(Quantized8Ensemble{})},
 		{"QuantScratch", reflect.TypeOf(QuantScratch{})},
-		{"Quant8Scratch", reflect.TypeOf(Quant8Scratch{})},
 		{"QuantSweeper", reflect.TypeOf(QuantSweeper{})},
-		{"QuantSweeper8", reflect.TypeOf(QuantSweeper8{})},
 	} {
 		if got, want := tc.typ.Size(), optimalStructSize(tc.typ); got != want {
 			t.Errorf("%s: size %d bytes, optimal packing is %d — reorder fields largest-first",

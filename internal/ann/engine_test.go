@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// engineCase is one ensemble the conformance suite runs every engine
+// engineCase is one ensemble the conformance suite runs both screens
 // over. Weight scales are stretched well past the trained-init range so
 // the per-layer scale selection is exercised, not just the happy path.
 type engineCase struct {
@@ -78,30 +78,60 @@ func engineInputs(rng *rand.Rand, count, dim int) []float64 {
 	return xs
 }
 
-// TestEngineConformance is the shared suite every engine must pass (see
-// CONTRIBUTING): predictions within the advertised error bound of the
-// reference, bounds that bracket the reference, and scratch capacity
-// accounting. New engines get added to EngineNames and inherit this.
+// screen is one implementation of the top-M screen's bounds contract,
+// as the conformance suite drives it: a prediction within bound of the
+// reference and a bracket that contains the reference.
+type screen struct {
+	name    string
+	bound   float64
+	predict func(xs []float64, count int, dst []float64)
+	bounds  func(xs []float64, count int, lb, ub []float64)
+}
+
+// screens builds both screens over e: "float64", the exact reference
+// with the interval-arithmetic bounds pass (bounds.go), and "int16", the
+// quantised tables (quant.go).
+func screens(tb testing.TB, e *Ensemble, capacity int) []screen {
+	ps := e.NewBatchScratch(capacity)
+	q, err := QuantizeEnsemble(e)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	qs := q.NewQuantScratch(capacity)
+	return []screen{
+		{
+			name: "float64",
+			predict: func(xs []float64, count int, dst []float64) {
+				e.PredictBatch(xs, count, ps, dst)
+			},
+			bounds: func(xs []float64, count int, lb, ub []float64) {
+				e.PredictBatchBounds(xs, count, ps, lb, ub)
+			},
+		},
+		{
+			name:  "int16",
+			bound: q.ErrorBound(),
+			predict: func(xs []float64, count int, dst []float64) {
+				q.PredictBatch(xs, count, qs, dst)
+			},
+			bounds: func(xs []float64, count int, lb, ub []float64) {
+				q.PredictBatchBounds(xs, count, qs, lb, ub)
+			},
+		},
+	}
+}
+
+// TestEngineConformance is the shared suite both top-M screens must pass
+// (see CONTRIBUTING): predictions within the advertised error bound of
+// the reference, and bounds that bracket the reference.
 func TestEngineConformance(t *testing.T) {
 	for _, ec := range engineCases(t) {
-		ref := Float64Engine{E: ec.e}
-		refScratch := ref.NewScratch(64)
-		for _, name := range EngineNames() {
-			t.Run(ec.name+"/"+name, func(t *testing.T) {
-				eng, err := NewEngine(name, ec.e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if eng.Name() != name {
-					t.Fatalf("Name() = %q, want %q", eng.Name(), name)
-				}
-				bound := eng.ErrorBound()
+		refScratch := ec.e.NewBatchScratch(64)
+		for _, sc := range screens(t, ec.e, 64) {
+			t.Run(ec.name+"/"+sc.name, func(t *testing.T) {
+				bound := sc.bound
 				if bound < 0 || math.IsNaN(bound) || bound > 1 {
 					t.Fatalf("implausible error bound %g", bound)
-				}
-				s := eng.NewScratch(64)
-				if s.Capacity() < 64 {
-					t.Fatalf("scratch capacity %d < 64", s.Capacity())
 				}
 				rng := rand.New(rand.NewSource(5))
 				dim := ec.e.nets[0].sizes[0]
@@ -112,9 +142,9 @@ func TestEngineConformance(t *testing.T) {
 				for round := 0; round < 20; round++ {
 					count := 1 + rng.Intn(64)
 					xs := engineInputs(rng, count, dim)
-					ref.PredictBatch(xs, count, refScratch, want)
-					eng.PredictBatch(xs, count, s, got)
-					eng.PredictBatchBounds(xs, count, s, lb, ub)
+					ec.e.PredictBatch(xs, count, refScratch, want)
+					sc.predict(xs, count, got)
+					sc.bounds(xs, count, lb, ub)
 					for b := 0; b < count; b++ {
 						if d := math.Abs(got[b] - want[b]); d > bound {
 							t.Fatalf("round %d sample %d: |%g - %g| = %g exceeds bound %g",
@@ -132,28 +162,22 @@ func TestEngineConformance(t *testing.T) {
 	}
 }
 
-// TestFloat64EngineBitIdentical pins that the reference engine is the
-// pre-refactor batched path, bit for bit.
+// TestFloat64EngineBitIdentical pins that the exact scorer — the batched
+// float64 path every top-M result is ranked by — is the scalar Predict
+// path, bit for bit.
 func TestFloat64EngineBitIdentical(t *testing.T) {
 	for _, ec := range engineCases(t) {
-		eng, err := NewEngine("", ec.e) // empty name selects the reference
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eng.Name() != EngineFloat64 {
-			t.Fatalf("default engine is %q", eng.Name())
-		}
 		rng := rand.New(rand.NewSource(11))
 		dim := ec.e.nets[0].sizes[0]
 		count := 33
 		xs := engineInputs(rng, count, dim)
-		want := make([]float64, count)
 		got := make([]float64, count)
-		ec.e.PredictBatch(xs, count, ec.e.NewBatchScratch(count), want)
-		eng.PredictBatch(xs, count, eng.NewScratch(count), got)
-		for b := range want {
-			if math.Float64bits(got[b]) != math.Float64bits(want[b]) {
-				t.Fatalf("%s sample %d: %g != %g", ec.name, b, got[b], want[b])
+		ec.e.PredictBatch(xs, count, ec.e.NewBatchScratch(count), got)
+		ps := ec.e.NewScratch()
+		for b := range got {
+			want := ec.e.Predict(xs[b*dim:(b+1)*dim], ps)
+			if math.Float64bits(got[b]) != math.Float64bits(want) {
+				t.Fatalf("%s sample %d: %g != %g", ec.name, b, got[b], want)
 			}
 		}
 	}
@@ -214,9 +238,6 @@ func TestQuantizeEnsembleRejects(t *testing.T) {
 	if _, err := QuantizeEnsemble(nil); err == nil {
 		t.Fatal("nil ensemble quantised")
 	}
-	if _, err := NewEngine("bf16", &Ensemble{nets: []*Network{MustNew(rng, []int{2, 1}, Linear)}}); err == nil {
-		t.Fatal("unknown engine name accepted")
-	}
 }
 
 // TestQuantizeQ14 pins the rounding/saturation behaviour the tuning
@@ -245,7 +266,7 @@ func TestQuantizeQ14(t *testing.T) {
 }
 
 // TestEngineZeroAlloc pins the steady-state allocation contract: with a
-// reused scratch, both engines' predict and bounds paths allocate
+// reused scratch, both screens' predict and bounds paths allocate
 // nothing per batch.
 func TestEngineZeroAlloc(t *testing.T) {
 	ecs := engineCases(t)
@@ -257,24 +278,19 @@ func TestEngineZeroAlloc(t *testing.T) {
 	dst := make([]float64, count)
 	lb := make([]float64, count)
 	ub := make([]float64, count)
-	for _, name := range EngineNames() {
-		eng, err := NewEngine(name, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := eng.NewScratch(count)
-		// Warm once: the float engine's bounds buffers are lazy.
-		eng.PredictBatch(xs, count, s, dst)
-		eng.PredictBatchBounds(xs, count, s, lb, ub)
+	for _, sc := range screens(t, e, count) {
+		// Warm once: the float pass's bounds buffers are lazy.
+		sc.predict(xs, count, dst)
+		sc.bounds(xs, count, lb, ub)
 		if n := testing.AllocsPerRun(50, func() {
-			eng.PredictBatch(xs, count, s, dst)
+			sc.predict(xs, count, dst)
 		}); n != 0 {
-			t.Errorf("%s PredictBatch: %v allocs/run", name, n)
+			t.Errorf("%s predict: %v allocs/run", sc.name, n)
 		}
 		if n := testing.AllocsPerRun(50, func() {
-			eng.PredictBatchBounds(xs, count, s, lb, ub)
+			sc.bounds(xs, count, lb, ub)
 		}); n != 0 {
-			t.Errorf("%s PredictBatchBounds: %v allocs/run", name, n)
+			t.Errorf("%s bounds: %v allocs/run", sc.name, n)
 		}
 	}
 	q, err := QuantizeEnsemble(e)
@@ -342,7 +358,7 @@ func TestFingerprint(t *testing.T) {
 }
 
 // FuzzInt16WithinBound drives random models and random in-domain inputs
-// through both engines and asserts the advertised bound: this is the
+// through the reference and the int16 tables and asserts the advertised bound: this is the
 // error proof's empirical adversary.
 func FuzzInt16WithinBound(f *testing.F) {
 	f.Add(int64(1), 1.0, 0.25, -0.5, 0.75)
@@ -386,11 +402,10 @@ func FuzzInt16WithinBound(f *testing.F) {
 				xs[i] = QuantInputLo + rng.Float64()*(QuantInputHi-QuantInputLo)
 			}
 		}
-		ref := Float64Engine{E: e}
 		want := make([]float64, count)
 		got := make([]float64, count)
-		ref.PredictBatch(xs, count, ref.NewScratch(count), want)
-		q.PredictBatch(xs, count, q.NewScratch(count), got)
+		e.PredictBatch(xs, count, e.NewBatchScratch(count), want)
+		q.PredictBatch(xs, count, q.NewQuantScratch(count), got)
 		for b := 0; b < count; b++ {
 			if d := math.Abs(got[b] - want[b]); d > q.ErrorBound() {
 				t.Fatalf("sample %d: |%g - %g| = %g exceeds bound %g",

@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// Int16 fixed-point inference engine.
+// Int16 fixed-point screening tables.
 //
 // QuantizeEnsemble converts a trained ensemble (sigmoid hidden layers,
 // single linear output — the paper topology) into int16 weights with a
@@ -14,12 +14,14 @@ import (
 // Q14 sigmoid lookup table. The forward pass is then pure integer
 // multiply-accumulate plus table lookups: no math.Exp, no division.
 //
-// The engine is only useful because its deviation from the float64
+// The tables are only useful because their deviation from the float64
 // reference is *proven*, not estimated. Every error source is bounded at
 // quantise time from the actual weights and composed through the layers
-// (see quantizeNetwork); the resulting bound is what PredictBatchBounds
-// hands the top-M sweep, so pruning against quantised scores can never
-// drop a config the exact engine would have kept.
+// (see quantizeNetwork); the resulting bound is what the top-M screen
+// (QuantSweeper) widens every quantised score by, so pruning against
+// quantised scores can never drop a config the exact scorer would have
+// kept. The batch forward pass below is the sweeper's from-scratch
+// reference: the incremental sweep must reproduce it bit for bit.
 //
 // Error model, per member (all in the raw standardised output space):
 //
@@ -62,11 +64,12 @@ const (
 	qMaxShift = 24
 
 	// QuantInputLo and QuantInputHi delimit the input domain of the int16
-	// engine: the advertised error bound holds for features inside
+	// tables: the advertised error bound holds for features inside
 	// [QuantInputLo, QuantInputHi]. Inputs outside are clamped, which is
-	// safe but unbounded. Every feature the tuning schema produces —
-	// log-normalised parameters in [0,1] and device descriptors in
-	// [0, ~1.3] — sits comfortably inside.
+	// safe but unbounded — so the top-M screen only uses the tables when
+	// every feature is in the domain. Log-normalised parameters sit in
+	// [0,1] and catalog device descriptors in [0, ~1.3]; a client
+	// descriptor can exceed the domain (a clock above 10 GHz does).
 	QuantInputLo = -2.0
 	QuantInputHi = 2.0
 )
@@ -130,15 +133,15 @@ type qLayer struct {
 	linear bool
 }
 
-// QuantizedEnsemble is the int16 engine over one trained ensemble. It is
+// QuantizedEnsemble is the int16 tables of one trained ensemble. It is
 // immutable after QuantizeEnsemble and safe for concurrent use with
-// distinct scratches.
+// distinct scratches and sweepers.
 type QuantizedEnsemble struct {
 	members [][]qLayer
 	lut     []int16
 	// hold pins the backing store alive when the weight slices alias a
 	// memory-mapped v4 arena (see quantarena.go); nil for heap-built
-	// engines. The GC does not root a mapping through interior pointers,
+	// tables. The GC does not root a mapping through interior pointers,
 	// so every aliasing structure must carry this reference.
 	hold     any
 	bound    float64
@@ -146,7 +149,7 @@ type QuantizedEnsemble struct {
 	maxWidth int
 }
 
-// QuantScratch is the int16 engine's per-goroutine buffer set.
+// QuantScratch is the int16 forward pass's per-goroutine buffer set.
 type QuantScratch struct {
 	capacity int
 	qin      []int16
@@ -155,10 +158,7 @@ type QuantScratch struct {
 	sum      []float64
 }
 
-// Capacity implements EngineScratch.
-func (s *QuantScratch) Capacity() int { return s.capacity }
-
-// QuantizeEnsemble builds the int16 engine. It fails — rather than
+// QuantizeEnsemble builds the int16 tables. It fails — rather than
 // degrade silently — when the topology has activations the error proof
 // does not cover, when the output is not a single value, or when weight
 // magnitudes have diverged past what int16 can hold.
@@ -201,15 +201,15 @@ func QuantizeEnsemble(e *Ensemble) (*QuantizedEnsemble, error) {
 func quantizeNetwork(n *Network) ([]qLayer, float64, error) {
 	last := len(n.sizes) - 1
 	if n.sizes[last] != 1 {
-		return nil, 0, fmt.Errorf("output width %d (int16 engine needs 1)", n.sizes[last])
+		return nil, 0, fmt.Errorf("output width %d (int16 tables need 1)", n.sizes[last])
 	}
 	for l, a := range n.acts {
 		if l == last-1 {
 			if a != Linear {
-				return nil, 0, fmt.Errorf("output activation %v (int16 engine needs linear)", a)
+				return nil, 0, fmt.Errorf("output activation %v (int16 tables need linear)", a)
 			}
 		} else if a != Sigmoid {
-			return nil, 0, fmt.Errorf("hidden activation %v (int16 engine needs sigmoid)", a)
+			return nil, 0, fmt.Errorf("hidden activation %v (int16 tables need sigmoid)", a)
 		}
 	}
 
@@ -280,21 +280,14 @@ func quantizeNetwork(n *Network) ([]qLayer, float64, error) {
 	return layers, outErr, nil
 }
 
-// Name implements Engine.
-func (q *QuantizedEnsemble) Name() string { return EngineInt16 }
-
-// ErrorBound implements Engine.
+// ErrorBound returns the proven worst-case |quantised − reference| on
+// the raw ensemble output for in-domain inputs.
 func (q *QuantizedEnsemble) ErrorBound() float64 { return q.bound }
 
-// InputDim returns the feature width the engine expects.
+// InputDim returns the feature width the tables expect.
 func (q *QuantizedEnsemble) InputDim() int { return q.inDim }
 
-// NewScratch implements Engine.
-func (q *QuantizedEnsemble) NewScratch(capacity int) EngineScratch {
-	return q.NewQuantScratch(capacity)
-}
-
-// NewQuantScratch allocates int16-engine buffers for blocks of up to
+// NewQuantScratch allocates int16 forward-pass buffers for blocks of up to
 // capacity samples.
 func (q *QuantizedEnsemble) NewQuantScratch(capacity int) *QuantScratch {
 	if capacity < 1 {
@@ -318,30 +311,28 @@ func (q *QuantizedEnsemble) quantizeInputs(xs []float64, count int, s *QuantScra
 	}
 }
 
-// PredictBatch implements Engine: quantise the inputs, then run the
-// fixed-point forward pass.
-func (q *QuantizedEnsemble) PredictBatch(xs []float64, count int, s EngineScratch, dst []float64) {
-	qs := s.(*QuantScratch)
-	q.quantizeInputs(xs, count, qs)
-	q.PredictBatchQ14(qs.qin, count, qs, dst)
+// PredictBatch quantises count sample-major float features, then runs
+// the fixed-point forward pass: the result is within ErrorBound of the
+// reference Ensemble.PredictBatch for in-domain inputs.
+func (q *QuantizedEnsemble) PredictBatch(xs []float64, count int, s *QuantScratch, dst []float64) {
+	q.quantizeInputs(xs, count, s)
+	q.PredictBatchQ14(s.qin, count, s, dst)
 }
 
-// PredictBatchBounds implements Engine: the quantised score bracketed by
-// the proven bound contains the reference prediction.
-func (q *QuantizedEnsemble) PredictBatchBounds(xs []float64, count int, s EngineScratch, lb, ub []float64) {
-	qs := s.(*QuantScratch)
-	q.quantizeInputs(xs, count, qs)
-	q.PredictBatchBoundsQ14(qs.qin, count, qs, lb, ub)
+// PredictBatchBounds brackets the reference prediction: the quantised
+// score widened by the proven bound contains it.
+func (q *QuantizedEnsemble) PredictBatchBounds(xs []float64, count int, s *QuantScratch, lb, ub []float64) {
+	q.quantizeInputs(xs, count, s)
+	q.PredictBatchBoundsQ14(s.qin, count, s, lb, ub)
 }
 
 // PredictBatchQ14 is the allocation-free fast path for callers that
 // already hold Q14-quantised features (see tuning.FeatureSchema's Q14
 // encoder): count samples, sample-major, stride InputDim.
-func (q *QuantizedEnsemble) PredictBatchQ14(qxs []int16, count int, es EngineScratch, dst []float64) {
+func (q *QuantizedEnsemble) PredictBatchQ14(qxs []int16, count int, s *QuantScratch, dst []float64) {
 	if count == 0 {
 		return
 	}
-	s := es.(*QuantScratch)
 	if count > s.capacity {
 		panic("ann: quant batch exceeds scratch capacity")
 	}
@@ -359,18 +350,13 @@ func (q *QuantizedEnsemble) PredictBatchQ14(qxs []int16, count int, es EngineScr
 }
 
 // PredictBatchBoundsQ14 is the Q14 fast path of PredictBatchBounds.
-func (q *QuantizedEnsemble) PredictBatchBoundsQ14(qxs []int16, count int, s EngineScratch, lb, ub []float64) {
+func (q *QuantizedEnsemble) PredictBatchBoundsQ14(qxs []int16, count int, s *QuantScratch, lb, ub []float64) {
 	q.PredictBatchQ14(qxs, count, s, lb[:count])
 	for b := 0; b < count; b++ {
 		v := lb[b]
 		lb[b] = v - q.bound
 		ub[b] = v + q.bound
 	}
-}
-
-// NewIndexSweeper implements Q14Engine over the concrete NewSweeper.
-func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (IndexSweeper, error) {
-	return q.NewSweeper(levels, tail)
 }
 
 // forwardMember runs one member over the block, accumulating its raw

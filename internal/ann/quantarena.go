@@ -8,32 +8,26 @@ import (
 	"repro/internal/mmapx"
 )
 
-// Serialised quantised-engine tables for the v4 weight arena.
+// Serialised int16 tables for the v4 weight arena.
 //
-// A v4 model file carries the int16 and int8 engines' tables alongside
-// the float64 weights, so a serve replica installs a replicated model
-// with *no* quantisation pass: the engine structs are rebuilt by
-// aliasing typed slices straight into the (memory-mapped) payload.
-// AppendTables and the FromTables constructors own the byte layout;
-// the core persistence layer only frames the payload in a section.
+// A v4 model file carries the int16 screening tables alongside the
+// float64 weights, so a serve replica installs a replicated model with
+// *no* quantisation pass: the tables are rebuilt by aliasing typed
+// slices straight into the (memory-mapped) payload. AppendTables and
+// QuantizedEnsembleFromTables own the byte layout; the core persistence
+// layer only frames the payload in a section.
 //
-// Layout (little-endian), shared by both engines:
+// Layout (little-endian):
 //
 //	u32 memberCount | u32 layerTotal | f64 bound
 //	per member:          u32 layerCount
 //	per member/layer:    u32 in | u32 out | i32 k | u32 flags   (flags bit0 = linear)
 //	pad to 8 bytes
 //	arrays, grouped by element type so every block stays aligned:
-//	  int16 engine: all biases  (int64, per member/layer: out values)
-//	                all weights (int16, per member/layer: in·out values)
-//	  int8  engine: all biases  (int32, per member/layer: out values)
-//	                all shifts  (u8,   per member/layer: out values)
-//	                all weights (int8,  per member/layer: in·out values)
+//	  all biases  (int64, per member/layer: out values)
+//	  all weights (int16, per member/layer: in·out values)
 //
-// For the int16 engine k is the per-layer scale exponent (shift and
-// invOut derive from it); for the int8 engine scales are per-row, so k
-// is -1 and the shift array carries row scales (k_j = shift_j +
-// qLutBits − qFrac, invOut derives from row 0 of the linear layer).
+// k is the per-layer scale exponent (shift and invOut derive from it).
 //
 // Decoding is zero-copy when the payload is little-endian-native and
 // each block lands on its element alignment — guaranteed for payloads
@@ -48,7 +42,7 @@ const (
 	qaMaxLayerSize = 1 << 20
 )
 
-// qaShape is the decoded metadata prelude shared by both table formats.
+// qaShape is the decoded metadata prelude.
 type qaShape struct {
 	bound  float64
 	layers [][4]int32 // per flattened layer: in, out, k, flags
@@ -125,8 +119,8 @@ func qaBlock(data []byte, off *int, n, elemSize int) ([]byte, error) {
 	return b, nil
 }
 
-// AppendTables serialises the int16 engine's tables (see the layout
-// comment). The output is deterministic for a given engine.
+// AppendTables serialises the int16 tables (see the layout comment).
+// The output is deterministic for given tables.
 func (q *QuantizedEnsemble) AppendTables(dst []byte) []byte {
 	layerTotal := 0
 	for _, ls := range q.members {
@@ -171,7 +165,7 @@ func (q *QuantizedEnsemble) AppendTables(dst []byte) []byte {
 	return dst
 }
 
-// QuantizedEnsembleFromTables rebuilds the int16 engine from serialised
+// QuantizedEnsembleFromTables rebuilds the int16 tables from serialised
 // tables, aliasing the payload in place when alignment and byte order
 // allow (hold then pins the payload's backing store) and copy-decoding
 // otherwise. No re-quantisation happens either way.
@@ -262,142 +256,6 @@ func QuantizedEnsembleFromTables(data []byte, hold any) (*QuantizedEnsemble, err
 	return q, nil
 }
 
-// AppendTables8 serialises the int8 engine's tables (see the layout
-// comment). The output is deterministic for a given engine.
-func (q *Quantized8Ensemble) AppendTables8(dst []byte) []byte {
-	layerTotal := 0
-	for _, ls := range q.members {
-		layerTotal += len(ls)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(q.members)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(layerTotal))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(q.bound))
-	for _, ls := range q.members {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ls)))
-	}
-	for _, ls := range q.members {
-		for _, l := range ls {
-			flags := uint32(0)
-			if l.linear {
-				flags |= 1
-			}
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(l.in))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(l.out))
-			dst = binary.LittleEndian.AppendUint32(dst, ^uint32(0)) // k = -1: scales live per row
-			dst = binary.LittleEndian.AppendUint32(dst, flags)
-		}
-	}
-	for len(dst)%8 != 0 {
-		dst = append(dst, 0)
-	}
-	for _, ls := range q.members {
-		for _, l := range ls {
-			for _, b := range l.b {
-				dst = binary.LittleEndian.AppendUint32(dst, uint32(b))
-			}
-		}
-	}
-	for _, ls := range q.members {
-		for _, l := range ls {
-			dst = append(dst, l.shift...)
-		}
-	}
-	for _, ls := range q.members {
-		for _, l := range ls {
-			for _, w := range l.w {
-				dst = append(dst, byte(w))
-			}
-		}
-	}
-	return dst
-}
-
-// Quantized8EnsembleFromTables rebuilds the int8 engine from serialised
-// tables; see QuantizedEnsembleFromTables for the aliasing contract.
-func Quantized8EnsembleFromTables(data []byte, hold any) (*Quantized8Ensemble, error) {
-	sh, err := qaParseShape(data)
-	if err != nil {
-		return nil, err
-	}
-	totalB, totalW := 0, 0
-	for _, lay := range sh.layers {
-		totalB += int(lay[1])
-		totalW += int(lay[0]) * int(lay[1])
-	}
-	off := sh.arrOff
-	bBytes, err := qaBlock(data, &off, totalB, 4)
-	if err != nil {
-		return nil, err
-	}
-	sBytes, err := qaBlock(data, &off, totalB, 1)
-	if err != nil {
-		return nil, err
-	}
-	wBytes, err := qaBlock(data, &off, totalW, 1)
-	if err != nil {
-		return nil, err
-	}
-	// Alias either every block or none (see QuantizedEnsembleFromTables).
-	biases, okB := mmapx.Int32s(bBytes)
-	if !okB {
-		hold = nil
-		biases = make([]int32, totalB)
-		for i := range biases {
-			biases[i] = int32(binary.LittleEndian.Uint32(bBytes[4*i:]))
-		}
-		sBytes = append([]byte(nil), sBytes...)
-		wBytes = append([]byte(nil), wBytes...)
-	}
-	weights := mmapx.Int8s(wBytes)
-	q := &Quantized8Ensemble{
-		members: make([][]q8Layer, len(sh.counts)),
-		lut:     sigmoidLut(),
-		hold:    hold,
-		bound:   sh.bound,
-	}
-	li, bo, wo := 0, 0, 0
-	for m := range q.members {
-		layers := make([]q8Layer, sh.counts[m])
-		for l := range layers {
-			lay := sh.layers[li]
-			li++
-			in, out := int(lay[0]), int(lay[1])
-			linear := lay[3]&1 != 0
-			ql := q8Layer{
-				in:     in,
-				out:    out,
-				w:      weights[wo : wo+in*out],
-				b:      biases[bo : bo+out],
-				shift:  sBytes[bo : bo+out],
-				linear: linear,
-			}
-			k0 := int(ql.shift[0]) + qLutBits - qFrac
-			if k0 > qMaxShift {
-				return nil, fmt.Errorf("ann: quant8 tables row scale %d out of range", k0)
-			}
-			ql.invOut = math.Ldexp(1, -(k0 + qFrac))
-			layers[l] = ql
-			bo += out
-			wo += in * out
-		}
-		if err := qaCheckTopology8(layers, m); err != nil {
-			return nil, err
-		}
-		q.members[m] = layers
-		if m == 0 {
-			q.inDim = layers[0].in
-		} else if layers[0].in != q.inDim {
-			return nil, fmt.Errorf("ann: quant8 tables member %d input width %d != %d", m, layers[0].in, q.inDim)
-		}
-		for _, l := range layers {
-			if l.out > q.maxWidth {
-				q.maxWidth = l.out
-			}
-		}
-	}
-	return q, nil
-}
-
 // qaCheckTopology rejects decoded int16 members whose layer chain could
 // not have come from QuantizeEnsemble: the forward pass assumes a
 // single linear output fed by matching widths.
@@ -412,23 +270,6 @@ func qaCheckTopology(layers []qLayer, m int) error {
 		}
 		if !last && layers[i+1].in != l.out {
 			return fmt.Errorf("ann: quant tables member %d: layer %d width %d feeds %d", m, i, l.out, layers[i+1].in)
-		}
-	}
-	return nil
-}
-
-// qaCheckTopology8 is qaCheckTopology for the int8 layer chain.
-func qaCheckTopology8(layers []q8Layer, m int) error {
-	for i, l := range layers {
-		last := i == len(layers)-1
-		if l.linear != last {
-			return fmt.Errorf("ann: quant8 tables member %d: linear flag misplaced at layer %d", m, i)
-		}
-		if last && l.out != 1 {
-			return fmt.Errorf("ann: quant8 tables member %d: output width %d", m, l.out)
-		}
-		if !last && layers[i+1].in != l.out {
-			return fmt.Errorf("ann: quant8 tables member %d: layer %d width %d feeds %d", m, i, l.out, layers[i+1].in)
 		}
 	}
 	return nil

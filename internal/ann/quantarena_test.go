@@ -17,68 +17,48 @@ func arenaInputs(rng *rand.Rand, dim, count int) []float64 {
 	return xs
 }
 
-// TestQuantTablesRoundTrip pins the serialised-table contract for both
-// quantised engines: decode(encode(q)) predicts bit-identically to q,
-// reports the same error bound, and re-encodes to the same bytes
-// (serialisation is deterministic, so v4 files are byte-stable).
+// TestQuantTablesRoundTrip pins the serialised-table contract:
+// decode(encode(q)) predicts bit-identically to q, reports the same
+// error bound, and re-encodes to the same bytes (serialisation is
+// deterministic, so v4 files are byte-stable).
 func TestQuantTablesRoundTrip(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		t.Run(ec.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
-			q16, err := QuantizeEnsemble(ec.e)
+			q, err := QuantizeEnsemble(ec.e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q8, err := Quantize8Ensemble(ec.e)
+			enc := q.AppendTables(nil)
+			dec, err := QuantizedEnsembleFromTables(enc, nil)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("decode: %v", err)
 			}
-			enc16 := q16.AppendTables(nil)
-			enc8 := q8.AppendTables8(nil)
-			dec16, err := QuantizedEnsembleFromTables(enc16, nil)
-			if err != nil {
-				t.Fatalf("int16 decode: %v", err)
+			if dec.ErrorBound() != q.ErrorBound() {
+				t.Errorf("decoded bound %g != %g", dec.ErrorBound(), q.ErrorBound())
 			}
-			dec8, err := Quantized8EnsembleFromTables(enc8, nil)
-			if err != nil {
-				t.Fatalf("int8 decode: %v", err)
+			if dec.InputDim() != q.InputDim() {
+				t.Errorf("decoded input dim %d != %d", dec.InputDim(), q.InputDim())
 			}
-			for _, pair := range []struct {
-				name       string
-				orig, dec  Q14Engine
-				origBound  float64
-				reencoded  []byte
-				firstBytes []byte
-			}{
-				{"int16", q16, dec16, q16.ErrorBound(), dec16.AppendTables(nil), enc16},
-				{"int8", q8, dec8, q8.ErrorBound(), dec8.AppendTables8(nil), enc8},
-			} {
-				if pair.dec.ErrorBound() != pair.origBound {
-					t.Errorf("%s: decoded bound %g != %g", pair.name, pair.dec.ErrorBound(), pair.origBound)
-				}
-				if pair.dec.InputDim() != pair.orig.InputDim() {
-					t.Errorf("%s: decoded input dim %d != %d", pair.name, pair.dec.InputDim(), pair.orig.InputDim())
-				}
-				if !bytes.Equal(pair.reencoded, pair.firstBytes) {
-					t.Errorf("%s: re-encoded tables differ from original encoding", pair.name)
-				}
-				count := 16
-				xs := arenaInputs(rng, pair.orig.InputDim(), count)
-				want := make([]float64, count)
-				got := make([]float64, count)
-				wantLb := make([]float64, count)
-				wantUb := make([]float64, count)
-				gotLb := make([]float64, count)
-				gotUb := make([]float64, count)
-				pair.orig.PredictBatch(xs, count, pair.orig.NewScratch(count), want)
-				pair.dec.PredictBatch(xs, count, pair.dec.NewScratch(count), got)
-				pair.orig.PredictBatchBounds(xs, count, pair.orig.NewScratch(count), wantLb, wantUb)
-				pair.dec.PredictBatchBounds(xs, count, pair.dec.NewScratch(count), gotLb, gotUb)
-				for i := 0; i < count; i++ {
-					if got[i] != want[i] || gotLb[i] != wantLb[i] || gotUb[i] != wantUb[i] {
-						t.Fatalf("%s sample %d: decoded engine diverged: %g/%g/%g vs %g/%g/%g",
-							pair.name, i, got[i], gotLb[i], gotUb[i], want[i], wantLb[i], wantUb[i])
-					}
+			if !bytes.Equal(dec.AppendTables(nil), enc) {
+				t.Errorf("re-encoded tables differ from original encoding")
+			}
+			count := 16
+			xs := arenaInputs(rng, q.InputDim(), count)
+			want := make([]float64, count)
+			got := make([]float64, count)
+			wantLb := make([]float64, count)
+			wantUb := make([]float64, count)
+			gotLb := make([]float64, count)
+			gotUb := make([]float64, count)
+			q.PredictBatch(xs, count, q.NewQuantScratch(count), want)
+			dec.PredictBatch(xs, count, dec.NewQuantScratch(count), got)
+			q.PredictBatchBounds(xs, count, q.NewQuantScratch(count), wantLb, wantUb)
+			dec.PredictBatchBounds(xs, count, dec.NewQuantScratch(count), gotLb, gotUb)
+			for i := 0; i < count; i++ {
+				if got[i] != want[i] || gotLb[i] != wantLb[i] || gotUb[i] != wantUb[i] {
+					t.Fatalf("sample %d: decoded tables diverged: %g/%g/%g vs %g/%g/%g",
+						i, got[i], gotLb[i], gotUb[i], want[i], wantLb[i], wantUb[i])
 				}
 			}
 		})
@@ -90,142 +70,105 @@ func TestQuantTablesRoundTrip(t *testing.T) {
 // must copy — and still predict identically.
 func TestQuantTablesMisalignedPayloadFallsBack(t *testing.T) {
 	ecs := engineCases(t)
-	e := ecs[0].e
-	q16, err := QuantizeEnsemble(e)
+	q, err := QuantizeEnsemble(ecs[0].e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q8, err := Quantize8Ensemble(e)
+	enc := q.AppendTables(nil)
+	buf := make([]byte, len(enc)+1)
+	copy(buf[1:], enc)
+	dec, err := QuantizedEnsembleFromTables(buf[1:], new(int))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("misaligned decode: %v", err)
 	}
-	enc16 := q16.AppendTables(nil)
-	enc8 := q8.AppendTables8(nil)
-	shift := func(enc []byte) []byte {
-		buf := make([]byte, len(enc)+1)
-		copy(buf[1:], enc)
-		return buf[1:]
-	}
-	hold := new(int)
-	dec16, err := QuantizedEnsembleFromTables(shift(enc16), hold)
-	if err != nil {
-		t.Fatalf("int16 misaligned decode: %v", err)
-	}
-	if dec16.hold != nil {
-		t.Error("int16: copy-decoded engine retained hold reference")
-	}
-	dec8, err := Quantized8EnsembleFromTables(shift(enc8), hold)
-	if err != nil {
-		t.Fatalf("int8 misaligned decode: %v", err)
-	}
-	if dec8.hold != nil {
-		t.Error("int8: copy-decoded engine retained hold reference")
+	if dec.hold != nil {
+		t.Error("copy-decoded tables retained hold reference")
 	}
 	rng := rand.New(rand.NewSource(17))
-	xs := arenaInputs(rng, q16.InputDim(), 8)
-	for _, pair := range []struct {
-		name      string
-		orig, dec Q14Engine
-	}{{"int16", q16, dec16}, {"int8", q8, dec8}} {
-		want := make([]float64, 8)
-		got := make([]float64, 8)
-		pair.orig.PredictBatch(xs, 8, pair.orig.NewScratch(8), want)
-		pair.dec.PredictBatch(xs, 8, pair.dec.NewScratch(8), got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s sample %d: %g != %g", pair.name, i, got[i], want[i])
-			}
+	xs := arenaInputs(rng, q.InputDim(), 8)
+	want := make([]float64, 8)
+	got := make([]float64, 8)
+	q.PredictBatch(xs, 8, q.NewQuantScratch(8), want)
+	dec.PredictBatch(xs, 8, dec.NewQuantScratch(8), got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: %g != %g", i, got[i], want[i])
 		}
 	}
 }
 
 // TestQuantTablesRejectCorruption pins panic-freedom and fail-closed
 // decoding: every truncation prefix and a sweep of single-byte metadata
-// corruptions must return an error or a well-formed engine — never
+// corruptions must return an error or well-formed tables — never
 // panic, never index out of bounds.
 func TestQuantTablesRejectCorruption(t *testing.T) {
 	ecs := engineCases(t)
-	q16, err := QuantizeEnsemble(ecs[0].e)
+	q, err := QuantizeEnsemble(ecs[0].e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q8, err := Quantize8Ensemble(ecs[0].e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc16 := q16.AppendTables(nil)
-	enc8 := q8.AppendTables8(nil)
-
-	for name, tc := range map[string]struct {
-		enc    []byte
-		decode func([]byte) error
-	}{
-		"int16": {enc16, func(b []byte) error { _, err := QuantizedEnsembleFromTables(b, nil); return err }},
-		"int8":  {enc8, func(b []byte) error { _, err := Quantized8EnsembleFromTables(b, nil); return err }},
-	} {
-		t.Run(name, func(t *testing.T) {
-			for cut := 0; cut < len(tc.enc); cut++ {
-				if err := tc.decode(tc.enc[:cut]); err == nil {
-					t.Fatalf("truncation at %d bytes decoded successfully", cut)
+	enc := q.AppendTables(nil)
+	decode := func(b []byte) error { _, err := QuantizedEnsembleFromTables(b, nil); return err }
+	t.Run("int16", func(t *testing.T) {
+		for cut := 0; cut < len(enc); cut++ {
+			if err := decode(enc[:cut]); err == nil {
+				t.Fatalf("truncation at %d bytes decoded successfully", cut)
+			}
+		}
+		// Single-byte corruptions of the metadata region: must not
+		// panic. (Corrupted array payloads decode to different — but
+		// structurally valid — tables; that is the section checksum's
+		// job at the persistence layer, not this codec's.)
+		metaEnd := 64
+		if metaEnd > len(enc) {
+			metaEnd = len(enc)
+		}
+		for pos := 0; pos < metaEnd; pos++ {
+			for _, flip := range []byte{0xFF, 0x80, 0x01} {
+				mut := append([]byte(nil), enc...)
+				if mut[pos] == flip {
+					continue
 				}
+				mut[pos] = flip
+				_ = decode(mut) // must simply not panic
 			}
-			// Single-byte corruptions of the metadata region: must not
-			// panic. (Corrupted array payloads decode to different — but
-			// structurally valid — engines; that is the section checksum's
-			// job at the persistence layer, not this codec's.)
-			metaEnd := 64
-			if metaEnd > len(tc.enc) {
-				metaEnd = len(tc.enc)
-			}
-			for pos := 0; pos < metaEnd; pos++ {
-				for _, flip := range []byte{0xFF, 0x80, 0x01} {
-					mut := append([]byte(nil), tc.enc...)
-					if mut[pos] == flip {
-						continue
-					}
-					mut[pos] = flip
-					_ = tc.decode(mut) // must simply not panic
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// FuzzQuantTables feeds arbitrary bytes to both decoders: any input must
-// either fail cleanly or produce an engine that predicts without
-// panicking.
+// FuzzQuantTables feeds arbitrary bytes to the decoder: any input must
+// either fail cleanly or produce tables that predict without panicking.
+// The seeds cover the paper topology and a deep topology.
 func FuzzQuantTables(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
-	n := MustNew(rng, []int{3, 4, 1}, Sigmoid, Linear)
-	e := &Ensemble{nets: []*Network{n}}
-	if q, err := QuantizeEnsemble(e); err == nil {
-		f.Add(q.AppendTables(nil))
-	}
-	if q, err := Quantize8Ensemble(e); err == nil {
-		f.Add(q.AppendTables8(nil))
+	for _, sizes := range [][]int{{3, 4, 1}, {3, 5, 4, 1}} {
+		acts := make([]Activation, len(sizes)-1)
+		for i := range acts {
+			acts[i] = Sigmoid
+		}
+		acts[len(acts)-1] = Linear
+		e := &Ensemble{nets: []*Network{MustNew(rng, sizes, acts...)}}
+		if q, err := QuantizeEnsemble(e); err == nil {
+			f.Add(q.AppendTables(nil))
+		}
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, decode := range []func([]byte) (Q14Engine, error){
-			func(b []byte) (Q14Engine, error) { return QuantizedEnsembleFromTables(b, nil) },
-			func(b []byte) (Q14Engine, error) { return Quantized8EnsembleFromTables(b, nil) },
-		} {
-			q, err := decode(data)
-			if err != nil {
-				continue
-			}
-			dim := q.InputDim()
-			if dim < 1 || dim > qaMaxLayerSize {
-				t.Fatalf("decoded engine has input dim %d", dim)
-			}
-			xs := make([]float64, dim)
-			dst := make([]float64, 1)
-			q.PredictBatch(xs, 1, q.NewScratch(1), dst)
-			if math.IsNaN(dst[0]) && !math.IsNaN(q.ErrorBound()) {
-				// NaN output from finite tables would break screening.
-				t.Fatalf("decoded engine predicts NaN with finite bound")
-			}
+		q, err := QuantizedEnsembleFromTables(data, nil)
+		if err != nil {
+			return
+		}
+		dim := q.InputDim()
+		if dim < 1 || dim > qaMaxLayerSize {
+			t.Fatalf("decoded tables have input dim %d", dim)
+		}
+		xs := make([]float64, dim)
+		dst := make([]float64, 1)
+		q.PredictBatch(xs, 1, q.NewQuantScratch(1), dst)
+		if math.IsNaN(dst[0]) && !math.IsNaN(q.ErrorBound()) {
+			// NaN output from finite tables would break screening.
+			t.Fatalf("decoded tables predict NaN with finite bound")
 		}
 	})
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// QuantSweeper is the int16 engine's full-space screening kernel: it
+// QuantSweeper is the int16 tables' full-space screening kernel: it
 // bounds every configuration of a dense odometer-indexed space in index
 // order, maintaining the first-layer pre-activation accumulators
 // *incrementally* instead of recomputing them per configuration.
@@ -39,10 +39,9 @@ import (
 // state is bit-identical to a from-scratch forward pass — Bounds
 // returns exactly what PredictBatchBoundsQ14 would for the same index's
 // EncodeIndexQ14 features (pinned by TestSweeperMatchesBatch). A float
-// engine cannot sweep incrementally without invalidating its error
-// argument, which is why the quantised engines win the full-space
-// sweep: the per-config cost drops to the sigmoid lookups and the
-// output dot.
+// pass cannot sweep incrementally without invalidating its error
+// argument, which is why the int16 screen wins the full-space sweep:
+// the per-config cost drops to the sigmoid lookups and the output dot.
 //
 // A sweeper is single-goroutine state over an immutable
 // QuantizedEnsemble; each sweep worker builds its own.
@@ -98,7 +97,7 @@ func (q *QuantizedEnsemble) NewSweeper(levels [][]int16, tail []int16) (*QuantSw
 		return nil, fmt.Errorf("ann: sweeper needs at least one position")
 	}
 	if got := len(levels) + len(tail); got != q.inDim {
-		return nil, fmt.Errorf("ann: sweeper features %d (positions %d + tail %d) != engine input width %d",
+		return nil, fmt.Errorf("ann: sweeper features %d (positions %d + tail %d) != table input width %d",
 			got, len(levels), len(tail), q.inDim)
 	}
 	P := len(levels)

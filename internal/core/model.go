@@ -73,108 +73,19 @@ type Model struct {
 	// vector WithDevice fixed); nil both for parameter-only models and
 	// for an unbound portable model.
 	tail []float64
-	// engine is the selected inference engine (WithEngine); nil selects
-	// the float64 reference. The scalar Predict path always runs the
-	// reference regardless — the engine drives the batch paths and the
-	// top-M screening.
-	engine ann.Engine
-	// screen16 is the int16 engine backing the top-M screen when the int8
-	// engine is selected: int8 bounds are an order of magnitude wider
-	// than int16's — too wide to prune a trained model's space — so the
-	// sweep screens through the int16 tables instead (see topMSweep).
-	// Set by WithEngine(int8); nil otherwise.
-	screen16 *ann.QuantizedEnsemble
-	// q16/q8 are prebuilt quantised engines, populated by the v4 arena
-	// loader so WithEngine installs them without a quantisation pass;
-	// nil means quantise on demand.
+	// q16 is the int16 screening tables of the ensemble, built once per
+	// model — quantised at train or v1–v3 load, aliased out of the v4
+	// arena — and shared by every WithDevice view. nil when the quantiser
+	// refuses the weights; top-M then screens with the float interval
+	// pass (see newScreen).
 	q16 *ann.QuantizedEnsemble
-	q8  *ann.Quantized8Ensemble
 	// arena pins the memory mapping backing a zero-copy loaded model
-	// (weights and engine tables alias it); nil for heap-owned models.
+	// (weights and int16 tables alias it); nil for heap-owned models.
 	arena *mmapx.Data
 	// persistVersion records the persistence version the model was loaded
 	// from; 0 for freshly trained models (see WeightFormat).
 	persistVersion int
 }
-
-// eng returns the selected engine, defaulting to the float64 reference.
-// Hand-built models (tests, experiments) construct Model literals without
-// an engine; they get reference behaviour.
-func (m *Model) eng() ann.Engine {
-	if m.engine != nil {
-		return m.engine
-	}
-	return ann.Float64Engine{E: m.ensemble}
-}
-
-// WithEngine returns a view of the model whose batch predictions and
-// top-M sweeps run on the named inference engine (see ann.EngineNames).
-// The view shares the trained weights with m; like WithDevice it is
-// cheap and safe to hold per serving context. Selecting the int16 engine
-// can fail: quantisation refuses topologies its error proof does not
-// cover and diverged weight magnitudes.
-//
-// Engine semantics: batch predictions are within the engine's proven
-// error bound of the reference (bit-identical for the float64 engine),
-// while TopM uses the engine only to *screen* — every score that ranks
-// configurations is computed by the exact reference path, so the
-// returned set and order are engine-independent.
-func (m *Model) WithEngine(name string) (*Model, error) {
-	view := *m
-	switch name {
-	case ann.EngineInt16:
-		q16, err := m.int16Engine()
-		if err != nil {
-			return nil, err
-		}
-		view.engine = q16
-	case ann.EngineInt8:
-		q8, err := m.int8Engine()
-		if err != nil {
-			return nil, err
-		}
-		view.engine = q8
-		// topMSweep screens int8 models through the int16 tables; int8's
-		// admissible magnitude range is a strict subset of int16's, so the
-		// screen engine quantises whenever int8 itself did.
-		if q16, err := m.int16Engine(); err == nil {
-			view.screen16 = q16
-		}
-	default:
-		eng, err := ann.NewEngine(name, m.ensemble)
-		if err != nil {
-			return nil, err
-		}
-		view.engine = eng
-	}
-	return &view, nil
-}
-
-// int16Engine returns the prebuilt int16 engine when the model was
-// loaded from a v4 arena, quantising on demand otherwise.
-func (m *Model) int16Engine() (*ann.QuantizedEnsemble, error) {
-	if m.q16 != nil {
-		return m.q16, nil
-	}
-	return ann.QuantizeEnsemble(m.ensemble)
-}
-
-// int8Engine is int16Engine for the int8 engine.
-func (m *Model) int8Engine() (*ann.Quantized8Ensemble, error) {
-	if m.q8 != nil {
-		return m.q8, nil
-	}
-	return ann.Quantize8Ensemble(m.ensemble)
-}
-
-// EngineName returns the selected engine's name (ann.EngineFloat64 when
-// none was selected).
-func (m *Model) EngineName() string { return m.eng().Name() }
-
-// EngineErrorBound returns the selected engine's proven worst-case
-// deviation from the reference on the raw model output (0 for the
-// reference itself).
-func (m *Model) EngineErrorBound() float64 { return m.eng().ErrorBound() }
 
 // TrainModel fits the paper's model to the measured samples. invalid
 // lists configurations that failed to run; they are ignored unless
@@ -249,8 +160,19 @@ func TrainModelProgress(ctx context.Context, space *tuning.Space, samples []Samp
 		ensemble: ensemble,
 		scaler:   scaler,
 		logT:     cfg.LogTransform,
-		engine:   ann.Float64Engine{E: ensemble},
+		q16:      quantizeScreen(ensemble),
 	}, nil
+}
+
+// quantizeScreen builds the int16 screening tables of e, or nil when the
+// quantiser refuses it (an activation its error proof does not cover, or
+// weight magnitudes past the int16 range).
+func quantizeScreen(e *ann.Ensemble) *ann.QuantizedEnsemble {
+	q, err := ann.QuantizeEnsemble(e)
+	if err != nil {
+		return nil
+	}
+	return q
 }
 
 func target(seconds float64, logT bool) float64 {
@@ -330,68 +252,28 @@ func (m *Model) finish(y float64) float64 {
 const predictBlock = 256
 
 // BatchScratch carries the reusable buffers of blocked batch prediction:
-// an encoded feature matrix, the engine's batch buffers and a raw output
-// block. A scratch is pinned to the engine it was built for. Like
-// PredictScratch it is single-goroutine state.
+// an encoded feature matrix, the ensemble's batch buffers and a raw
+// output block. Like PredictScratch it is single-goroutine state.
 type BatchScratch struct {
-	eng ann.EngineScratch // selected engine's buffers
-	e   ann.Engine        // the engine the scratch belongs to
-	// Fixed-point fast path, set when e is a quantised (Q14-input)
-	// engine — int16 or int8: features are encoded straight into Q14 via
-	// the precomputed tables, skipping the float encode and the
-	// per-feature rounding.
-	q14   ann.Q14Engine
-	qxs   []int16
-	qtail []int16
-	// sweep is the incremental full-space screening kernel, built for
-	// bound models on a quantised engine (see ann.QuantSweeper); nil
-	// otherwise, falling back to per-index bounds.
-	sweep ann.IndexSweeper
-	idxs  []int64   // per-block index buffer of the bounds fallback
+	ens   *ann.BatchPredictScratch
 	xs    []float64 // block-sample-major encoded features
 	raw   []float64 // raw ensemble outputs for one block
 	block int
 }
 
-// NewBatchScratch allocates blocked batch-prediction buffers for the
-// model's selected engine.
+// NewBatchScratch allocates blocked batch-prediction buffers.
 func (m *Model) NewBatchScratch() *BatchScratch {
-	return m.newBatchScratchFor(m.eng())
-}
-
-// newBatchScratchFor allocates a scratch pinned to the given engine; the
-// top-M sweep builds one for the screening engine and one for the exact
-// reference scorer.
-func (m *Model) newBatchScratchFor(eng ann.Engine) *BatchScratch {
-	s := &BatchScratch{
-		eng:   eng.NewScratch(predictBlock),
-		e:     eng,
+	return &BatchScratch{
+		ens:   m.ensemble.NewBatchScratch(predictBlock),
 		xs:    make([]float64, 0, predictBlock*m.schema.Dim()),
 		raw:   make([]float64, predictBlock),
 		block: predictBlock,
 	}
-	if q, ok := eng.(ann.Q14Engine); ok {
-		s.q14 = q
-		s.qxs = make([]int16, 0, predictBlock*m.schema.Dim())
-		if m.Bound() {
-			s.qtail = m.schema.QuantizeTailQ14(m.tail, make([]int16, 0, m.schema.TailDim()))
-			// The incremental sweeper needs the whole feature layout
-			// pinned (positions then tail); a mismatch means the engine
-			// was built for another model, and the per-index fallback
-			// below stays correct either way.
-			if sw, err := q.NewIndexSweeper(m.schema.Q14Levels(), s.qtail); err == nil {
-				s.sweep = sw
-			}
-		}
-	}
-	return s
 }
 
 // PredictBatchWith predicts cfgs in blocks through s, appending the times
-// (in cfgs order, seconds) to dst. Under the float64 reference engine,
-// predictions are bit-identical to calling Predict per configuration;
-// under any other engine they are within the engine's proven error bound
-// of that (on the raw output, before the log/scale inversion).
+// (in cfgs order, seconds) to dst. Predictions are bit-identical to
+// calling Predict per configuration.
 func (m *Model) PredictBatchWith(cfgs []tuning.Config, s *BatchScratch, dst []float64) []float64 {
 	for lo := 0; lo < len(cfgs); lo += s.block {
 		hi := lo + s.block
@@ -409,90 +291,96 @@ func (m *Model) PredictBatchWith(cfgs []tuning.Config, s *BatchScratch, dst []fl
 
 // PredictIndices predicts the configurations at the given space indices
 // in blocks through s, appending the times to dst. It encodes straight
-// from the dense indices (tuning.Encoder.EncodeIndex — Q14 tables for
-// the int16 engine), so the sweep never materialises a Config: the
-// allocation-free primitive behind TopM. Under the reference engine,
-// predictions are bit-identical to Predict(space.At(idx)).
+// from the dense indices (tuning.Encoder.EncodeIndex), so the sweep
+// never materialises a Config: the allocation-free exact scorer behind
+// TopM. Predictions are bit-identical to Predict(space.At(idx)).
 func (m *Model) PredictIndices(idxs []int64, s *BatchScratch, dst []float64) []float64 {
 	for lo := 0; lo < len(idxs); lo += s.block {
 		hi := lo + s.block
 		if hi > len(idxs) {
 			hi = len(idxs)
 		}
-		n := hi - lo
-		if s.q14 != nil {
-			s.qxs = s.qxs[:0]
-			for _, idx := range idxs[lo:hi] {
-				s.qxs = m.schema.EncodeIndexQ14(idx, s.qtail, s.qxs)
-			}
-			s.q14.PredictBatchQ14(s.qxs, n, s.eng, s.raw[:n])
-			for _, y := range s.raw[:n] {
-				dst = append(dst, m.finish(y))
-			}
-			continue
-		}
 		s.xs = s.xs[:0]
 		for _, idx := range idxs[lo:hi] {
 			s.xs = m.schema.EncodeIndex(idx, m.tail, s.xs)
 		}
-		dst = m.predictEncodedBlock(n, s, dst)
+		dst = m.predictEncodedBlock(hi-lo, s, dst)
 	}
 	return dst
 }
 
 // predictEncodedBlock runs the count samples encoded in s.xs through the
-// scratch's engine and appends the finished times to dst.
+// ensemble and appends the finished times to dst.
 func (m *Model) predictEncodedBlock(count int, s *BatchScratch, dst []float64) []float64 {
-	s.e.PredictBatch(s.xs, count, s.eng, s.raw[:count])
+	m.ensemble.PredictBatch(s.xs, count, s.ens, s.raw[:count])
 	for _, y := range s.raw[:count] {
 		dst = append(dst, m.finish(y))
 	}
 	return dst
 }
 
-// predictIndexBounds writes conservative raw-output brackets of the
-// *reference* prediction for one block of indices: the screening
-// primitive of the pruned top-M sweep. len(idxs) must be at most
-// s.block.
-func (m *Model) predictIndexBounds(idxs []int64, s *BatchScratch, lb, ub []float64) {
-	n := len(idxs)
-	if s.q14 != nil {
-		s.qxs = s.qxs[:0]
-		for _, idx := range idxs {
-			s.qxs = m.schema.EncodeIndexQ14(idx, s.qtail, s.qxs)
-		}
-		s.q14.PredictBatchBoundsQ14(s.qxs, n, s.eng, lb[:n], ub[:n])
-		return
-	}
-	s.xs = s.xs[:0]
-	for _, idx := range idxs {
-		s.xs = m.schema.EncodeIndex(idx, m.tail, s.xs)
-	}
-	s.e.PredictBatchBounds(s.xs, n, s.eng, lb[:n], ub[:n])
+// screen is one sweep worker's private top-M screen: conservative
+// raw-output brackets of the exact prediction over sequential index
+// ranges. The model picks it from its own inputs (newScreen); no option
+// selects it, and both choices bracket the same exact scores, so the
+// choice changes how much of the space pays an exact score, never the
+// result.
+type screen struct {
+	m *Model
+	// sweep is the int16 incremental sweeper; nil selects the float
+	// interval pass over exact's buffers.
+	sweep *ann.QuantSweeper
+	exact *BatchScratch
 }
 
-// boundIndexRange is predictIndexBounds over the n sequential indices
-// starting at start: the screening shape of the top-M sweep. On the
-// quantised engines it runs the incremental sweeper — the first layer's
-// pre-activations update in place as the index odometer turns, so the
-// per-config cost collapses to the sigmoid lookups and the output dot —
-// and forwards the pruning ceiling: entries (or whole subtrees) the
-// sweeper proves above ceil come back as +Inf instead of being finished.
-// The per-index fallback ignores ceil, which is always sound (it only
-// bounds tighter than required). n must be at most s.block.
-func (m *Model) boundIndexRange(start int64, n int, s *BatchScratch, lb, ub []float64, ceil float64) {
-	if s.sweep != nil {
-		s.sweep.BoundsCeil(start, n, lb[:n], ub[:n], ceil)
+// newScreen builds a worker's screen. The int16 tables screen when the
+// model has them and their error proof covers the binding: every
+// feature must lie in [ann.QuantInputLo, ann.QuantInputHi]. Parameter
+// features always do (they are normalised to [0,1]); a bound device
+// tail can fall outside — a client descriptor with a clock above 10 GHz
+// does — and then, like a model the quantiser refused, it screens with
+// the float interval pass (ann.Ensemble.PredictBatchBounds), which holds
+// for any input. exact is the worker's exact-scoring scratch; the float
+// pass borrows its buffers between exact blocks.
+func (m *Model) newScreen(exact *BatchScratch) *screen {
+	sc := &screen{m: m, exact: exact}
+	if m.q16 == nil {
+		return sc
+	}
+	for _, v := range m.tail {
+		if !(v >= ann.QuantInputLo && v <= ann.QuantInputHi) {
+			return sc
+		}
+	}
+	qtail := m.schema.QuantizeTailQ14(m.tail, make([]int16, 0, m.schema.TailDim()))
+	// A construction error means the tables do not match this model's
+	// feature layout; the float pass below stays correct either way.
+	if sw, err := m.q16.NewSweeper(m.schema.Q14Levels(), qtail); err == nil {
+		sc.sweep = sw
+	}
+	return sc
+}
+
+// bounds writes conservative raw-output brackets of the exact
+// prediction for the n sequential indices starting at start into lb, ub.
+// The int16 sweeper updates the first layer's pre-activations in place
+// as the index odometer turns, so the per-config cost collapses to the
+// sigmoid lookups and the output dot, and it honours the pruning
+// ceiling: entries (or whole subtrees) it proves above ceil come back as
+// +Inf instead of being finished. The float pass ignores ceil, which is
+// always sound (it only bounds tighter than required). n must be at most
+// the exact scratch's block.
+func (sc *screen) bounds(start int64, n int, lb, ub []float64, ceil float64) {
+	if sc.sweep != nil {
+		sc.sweep.BoundsCeil(start, n, lb[:n], ub[:n], ceil)
 		return
 	}
-	if s.idxs == nil {
-		s.idxs = make([]int64, 0, s.block)
-	}
-	s.idxs = s.idxs[:0]
+	m, s := sc.m, sc.exact
+	s.xs = s.xs[:0]
 	for idx := start; idx < start+int64(n); idx++ {
-		s.idxs = append(s.idxs, idx)
+		s.xs = m.schema.EncodeIndex(idx, m.tail, s.xs)
 	}
-	m.predictIndexBounds(s.idxs, s, lb, ub)
+	m.ensemble.PredictBatchBounds(s.xs, n, s.ens, lb[:n], ub[:n])
 }
 
 // Predicted pairs a configuration index with its predicted time.
@@ -516,12 +404,12 @@ func (p Predicted) less(q Predicted) bool {
 // execution time for all possible configurations" step — and returns the
 // M configurations with the lowest predicted times, best first (ties
 // broken towards the lower index). Each worker screens its partition in
-// blocks through the selected engine's bounds pass and feeds a bounded
-// top-heap; only configurations whose conservative lower bound could
-// still beat the heap's worst entry pay the exact reference forward
-// pass. The heap never holds an engine-approximated score — every value
-// that ranks configurations is exact — so the returned set and order
-// are identical under every engine and every worker count: pruning
+// blocks (see newScreen for which screen) and feeds a bounded top-heap;
+// only configurations whose conservative lower bound could still beat
+// the heap's worst entry pay the exact forward pass. The heap never
+// holds a screened score — every value that ranks configurations is
+// exact — so the returned set and order are those of an unscreened
+// exhaustive sweep under either screen and every worker count: pruning
 // never changes emitted values (a pruned configuration provably loses
 // to M already-seen ones), block predictions are bit-identical to the
 // scalar path, and the (Seconds, Index) order is total.
@@ -579,7 +467,7 @@ func (m *Model) topM(M, workers int) []Predicted {
 }
 
 // topMSweep is the full-space sweep behind TopM and TopMIncremental.
-// seeds, when non-empty, are *exact* reference-scored predictions
+// seeds, when non-empty, are *exact* scored predictions
 // pre-offered into every worker's heap (the incremental warm start):
 // with the heap full from block zero, screening engages immediately and
 // against a near-final threshold. Seed indices may also fall inside a
@@ -605,23 +493,6 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		workers = int(size)
 	}
 	chunk := (size + int64(workers) - 1) / int64(workers)
-
-	// The heap only ever ranks exact scores, so the exact pass always
-	// runs the float64 reference; the selected engine drives screening.
-	refEngine := ann.Float64Engine{E: m.ensemble}
-	screenEngine := m.eng()
-	// The int8 engine's proven bound is an order of magnitude wider than
-	// the int16 engine's — wide enough that on trained models most of the
-	// space survives an int8 screen, and every false survivor pays an
-	// exact reference pass. Screening therefore runs over the retained
-	// int16 tables (WithEngine(int8) always carries them: int8's
-	// admissible magnitude range is a strict subset of int16's). Both
-	// engines' brackets contain the reference prediction, so the screen
-	// swap cannot change the result set — only how much of the space pays
-	// an exact score.
-	if screenEngine.Name() == ann.EngineInt8 && m.screen16 != nil {
-		screenEngine = m.screen16
-	}
 
 	// Seed indices are excluded from the partition scan below — each
 	// already sits in every heap with its exact score, and offering an
@@ -661,11 +532,8 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 			if hi > size {
 				hi = size
 			}
-			exact := m.newBatchScratchFor(refEngine)
-			screen := exact
-			if screenEngine.Name() != ann.EngineFloat64 {
-				screen = m.newBatchScratchFor(screenEngine)
-			}
+			exact := m.NewBatchScratch()
+			screen := m.newScreen(exact)
 			idxs := make([]int64, 0, exact.block)
 			preds := make([]float64, 0, exact.block)
 			lb := make([]float64, exact.block)
@@ -706,7 +574,7 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 					// ceil, the test needs lb − margin > rawWorst to reject,
 					// and the margin towers over every rounding step between
 					// the two expressions.
-					m.boundIndexRange(blockLo, n, screen, lb, ub, rawWorst+2*predictBoundMargin)
+					screen.bounds(blockLo, n, lb, ub, rawWorst+2*predictBoundMargin)
 					survivors = survivors[:0]
 					for k := 0; k < n; k++ {
 						idx := blockLo + int64(k)

@@ -35,17 +35,13 @@ import (
 //	version 4 — same header fields as v3, space-padded to a 64-byte
 //	  boundary, and the body is the zero-copy weight arena of
 //	  internal/core/persistbin4.go: 64-byte-aligned sections carrying
-//	  the float64 weights AND the quantised engine tables, laid out so
+//	  the float64 weights AND the int16 screening tables, laid out so
 //	  LoadModelFile serves straight out of a read-only memory mapping —
-//	  install cost is O(1) in model size, and selecting the int16/int8
-//	  engine skips the quantisation pass.
+//	  install cost is O(1) in model size, with no quantisation pass.
 //
-// Save writes version 4 for every model except one case: a model loaded
-// from a v3 file re-saves as byte-identical v3, so replica fan-out of
-// an existing artifact never rewrites history. Every v1–v3 artifact
-// still loads through the version-keyed decoder table. LoadModel
-// returns *UnsupportedVersionError for anything newer than
-// maxModelVersion.
+// Save always writes version 4. Every v1–v3 artifact still loads
+// through the version-keyed decoder table. LoadModel returns
+// *UnsupportedVersionError for anything newer than maxModelVersion.
 const (
 	modelFormat     = "mltune-model"
 	modelVersion    = 1
@@ -111,25 +107,19 @@ type modelPayload struct {
 
 // Save writes the model to w in the versioned persistence format: a
 // one-line JSON header followed by the version-4 arena body (see
-// persistbin4.go) — or, for a model loaded from a v3 file, the
-// byte-identical version-3 body it came from. Writing is deterministic
-// byte for byte, and a model saved on one machine reloads with
-// LoadModel to bit-identical predictions. Saving a bound portable view
-// persists the portable model; the binding — like the engine selection
-// — is per-process state, re-established with WithDevice/WithEngine
-// after loading.
+// persistbin4.go), whatever version the model was loaded from. Writing
+// is deterministic byte for byte, and a model saved on one machine
+// reloads with LoadModel to bit-identical predictions. Saving a bound
+// portable view persists the portable model; the binding is
+// per-process state, re-established with WithDevice after loading.
 func (m *Model) Save(w io.Writer) error {
 	params := make([]paramHeader, len(m.space.Params()))
 	for i, p := range m.space.Params() {
 		params[i] = paramHeader{Name: p.Name, Values: append([]int(nil), p.Values...)}
 	}
-	version := modelVersionV4
-	if m.persistVersion == modelVersionV3 {
-		version = modelVersionV3
-	}
 	hdr := modelHeader{
 		Format:       modelFormat,
-		Version:      version,
+		Version:      modelVersionV4,
 		Space:        spaceHeader{Name: m.space.Name(), Params: params},
 		LogTransform: m.logT,
 		Members:      m.ensemble.Size(),
@@ -144,26 +134,19 @@ func (m *Model) Save(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("core: encoding model header: %w", err)
 	}
-	if version == modelVersionV4 {
-		// Space-pad the header so the body starts at a 64-byte file
-		// offset: every v4 section payload then lands cache-line aligned
-		// in a memory mapping (JSON ignores trailing whitespace).
-		for (len(line)+1)%binAlign4 != 0 {
-			line = append(line, ' ')
-		}
+	// Space-pad the header so the body starts at a 64-byte file offset:
+	// every v4 section payload then lands cache-line aligned in a memory
+	// mapping (JSON ignores trailing whitespace).
+	for (len(line)+1)%binAlign4 != 0 {
+		line = append(line, ' ')
 	}
 	if _, err := w.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("core: writing model header: %w", err)
 	}
-	if version == modelVersionV3 {
-		return writeBinaryPayload(w, m.scaler, m.ensemble.State())
-	}
-	// Engine tables ride along when the ensemble quantises; refusals
-	// (diverged magnitudes, uncovered topologies) degrade to a v4 file
-	// without tables, which loads fine and quantises on demand.
-	q16, _ := m.int16Engine()
-	q8, _ := m.int8Engine()
-	return writeBinaryPayloadV4(w, m.scaler, m.ensemble.State(), q16, q8)
+	// The int16 tables ride along when the ensemble quantises; a refusal
+	// (diverged magnitudes, uncovered topologies) writes a v4 file
+	// without them, which loads fine and screens with the float pass.
+	return writeBinaryPayloadV4(w, m.scaler, m.ensemble.State(), m.q16)
 }
 
 // WeightFormat returns the persistence version the model's weights were
@@ -296,7 +279,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 		ensemble:       ensemble,
 		scaler:         scaler,
 		logT:           hdr.LogTransform,
-		engine:         ann.Float64Engine{E: ensemble},
+		q16:            quantizeScreen(ensemble),
 		persistVersion: hdr.Version,
 	}
 	if err := m.checkEnsembleWidth(); err != nil {
@@ -330,9 +313,7 @@ func finishLoadV4(hdr *modelHeader, space *tuning.Space, schema *tuning.FeatureS
 		ensemble:       d.ensemble,
 		scaler:         d.scaler,
 		logT:           hdr.LogTransform,
-		engine:         ann.Float64Engine{E: d.ensemble},
 		q16:            d.q16,
-		q8:             d.q8,
 		arena:          arena,
 		persistVersion: modelVersionV4,
 	}
@@ -344,7 +325,7 @@ func finishLoadV4(hdr *modelHeader, space *tuning.Space, schema *tuning.FeatureS
 
 // LoadModelBytes loads a model from an in-memory file image — the
 // zero-copy install path. For a v4 image the returned model's weights
-// and engine tables alias data in place (no decode pass, O(1) in model
+// and int16 tables alias data in place (no decode pass, O(1) in model
 // size); arena, when non-nil, is the memory mapping backing data and is
 // pinned by the model for its lifetime. Older versions decode by
 // copying exactly like LoadModel, and arena may then be closed by the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -18,7 +19,9 @@ import (
 // committed artifact must load bit-identically — through both the
 // copy (reader) and zero-copy (mmap) paths — AND be byte-identical to
 // what Save emits for the same model, so the writer cannot drift
-// silently.
+// silently. The committed file predates the int8 engine's retirement
+// and carries its "QNT8" section: the reader skips it, and Save emits
+// the artifact minus that section.
 func TestGoldenV4ModelBitIdentical(t *testing.T) {
 	modelPath := filepath.Join("testdata", "golden_v4.mlt")
 	predPath := filepath.Join("testdata", "golden_v4_predictions.json")
@@ -76,32 +79,52 @@ func TestGoldenV4ModelBitIdentical(t *testing.T) {
 	if runtime.GOOS == "linux" && !mapped.arena.Mapped() {
 		t.Fatal("v4 arena is not memory-mapped on linux")
 	}
-	if mapped.q16 == nil || mapped.q8 == nil {
-		t.Fatalf("v4 load did not prebuild the engine tables (q16=%v q8=%v)", mapped.q16 != nil, mapped.q8 != nil)
+	if mapped.q16 == nil {
+		t.Fatal("v4 load did not prebuild the int16 tables")
 	}
 	checkGoldenPredictions(t, mapped, preds)
-	for _, name := range ann.EngineNames() {
-		if _, err := mapped.WithEngine(name); err != nil {
-			t.Fatalf("WithEngine(%q) on the mapped model: %v", name, err)
-		}
-	}
 
 	// Byte-stability: re-saving either loaded model reproduces the
-	// artifact exactly.
+	// artifact exactly, less the retired int8 section.
+	want := withoutV4Section(t, raw, "QNT8")
 	for _, m := range []*Model{model, mapped} {
 		var out bytes.Buffer
 		if err := m.Save(&out); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(out.Bytes(), raw) {
+		if !bytes.Equal(out.Bytes(), want) {
 			t.Fatal("re-saved v4 model differs from the committed golden bytes")
 		}
 	}
 }
 
+// withoutV4Section returns the v4 file image raw with every section
+// tagged tag removed.
+func withoutV4Section(t *testing.T, raw []byte, tag string) []byte {
+	t.Helper()
+	nl := bytes.IndexByte(raw, '\n')
+	out := append([]byte(nil), raw[:nl+1+binAlign4]...) // header line + magic block
+	body := raw[nl+1:]
+	for off := binAlign4; off < len(body); {
+		if off+binAlign4 > len(body) {
+			t.Fatalf("v4 image truncated at body offset %d", off)
+		}
+		end := off + binAlign4 + int(binary.LittleEndian.Uint32(body[off+4:off+8]))
+		if rem := end % binAlign4; rem != 0 {
+			end += binAlign4 - rem
+		}
+		if string(body[off:off+4]) != tag {
+			out = append(out, body[off:end]...)
+		}
+		off = end
+	}
+	return out
+}
+
 // TestV4EngineTablesMatchQuantisation pins the core claim of the arena:
-// the engines decoded from a v4 file are bit-identical — predictions
-// and bounds — to quantising the loaded ensemble from scratch.
+// the int16 tables decoded from a v4 file are bit-identical —
+// predictions and bounds — to quantising the loaded ensemble from
+// scratch, and a freshly trained model carries the same tables.
 func TestV4EngineTablesMatchQuantisation(t *testing.T) {
 	model := goldenPortableModel(t)
 	var buf bytes.Buffer
@@ -112,19 +135,15 @@ func TestV4EngineTablesMatchQuantisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.q16 == nil || loaded.q8 == nil {
-		t.Fatal("v4 image did not carry engine tables")
+	if loaded.q16 == nil || model.q16 == nil {
+		t.Fatal("trained or v4-loaded model lacks the int16 tables")
 	}
-	fresh16, err := ann.QuantizeEnsemble(loaded.ensemble)
+	fresh, err := ann.QuantizeEnsemble(loaded.ensemble)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh8, err := ann.Quantize8Ensemble(loaded.ensemble)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.q16.ErrorBound() != fresh16.ErrorBound() || loaded.q8.ErrorBound() != fresh8.ErrorBound() {
-		t.Fatal("decoded engine bounds differ from fresh quantisation")
+	if loaded.q16.ErrorBound() != fresh.ErrorBound() {
+		t.Fatal("decoded table bound differs from fresh quantisation")
 	}
 	rng := rand.New(rand.NewSource(3))
 	dim := loaded.q16.InputDim()
@@ -133,17 +152,18 @@ func TestV4EngineTablesMatchQuantisation(t *testing.T) {
 	for i := range xs {
 		xs[i] = ann.QuantInputLo + rng.Float64()*(ann.QuantInputHi-ann.QuantInputLo)
 	}
-	for _, pair := range []struct {
-		name       string
-		dec, fresh ann.Engine
-	}{{"int16", loaded.q16, fresh16}, {"int8", loaded.q8, fresh8}} {
+	for _, q := range []*ann.QuantizedEnsemble{model.q16, fresh} {
 		a := make([]float64, count)
 		b := make([]float64, count)
-		pair.dec.PredictBatch(xs, count, pair.dec.NewScratch(count), a)
-		pair.fresh.PredictBatch(xs, count, pair.fresh.NewScratch(count), b)
+		alb, aub := make([]float64, count), make([]float64, count)
+		blb, bub := make([]float64, count), make([]float64, count)
+		loaded.q16.PredictBatch(xs, count, loaded.q16.NewQuantScratch(count), a)
+		q.PredictBatch(xs, count, q.NewQuantScratch(count), b)
+		loaded.q16.PredictBatchBounds(xs, count, loaded.q16.NewQuantScratch(count), alb, aub)
+		q.PredictBatchBounds(xs, count, q.NewQuantScratch(count), blb, bub)
 		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s sample %d: decoded %g != fresh %g", pair.name, i, a[i], b[i])
+			if a[i] != b[i] || alb[i] != blb[i] || aub[i] != bub[i] {
+				t.Fatalf("sample %d: decoded %g [%g, %g] != %g [%g, %g]", i, a[i], alb[i], aub[i], b[i], blb[i], bub[i])
 			}
 		}
 	}
@@ -220,14 +240,14 @@ func benchInstallModel(b *testing.B, members, hidden int) *Model {
 		ensemble: ensemble,
 		scaler:   ann.TargetScaler{Mean: -5, Std: 1},
 		logT:     true,
-		engine:   ann.Float64Engine{E: ensemble},
+		q16:      quantizeScreen(ensemble),
 	}
 }
 
 // BenchmarkModelInstall measures install-to-servable latency per
 // persistence version and model size. The acceptance claim is the
 // scaling shape: v3 decode cost grows with the weight count (every
-// float copied, every engine table rebuilt), while v4 stays near-flat
+// float copied, the int16 tables rebuilt), while v4 stays near-flat
 // as the model grows — the mmap open and section walk touch metadata
 // only, and weight pages fault in lazily as predictions first use them
 // (that deferral is the point: replica installs stop paying for model
@@ -246,9 +266,8 @@ func BenchmarkModelInstall(b *testing.B) {
 		if err := model.SaveFile(v4Path); err != nil {
 			b.Fatal(err)
 		}
-		model.persistVersion = modelVersionV3
 		v3Path := filepath.Join(dir, "m3.mlt")
-		if err := model.SaveFile(v3Path); err != nil {
+		if err := saveV3ModelFile(v3Path, model); err != nil {
 			b.Fatal(err)
 		}
 		for _, v := range []struct {

@@ -33,10 +33,10 @@ import (
 //	"WGTS"  all weights, member-major layer-major, float64, in the
 //	        exact layout ann.NetworkState records
 //
-// Writing is deterministic byte for byte (pinned by the byte-identity
-// persistence tests); reading validates every length against hard
-// limits before allocating, and any truncation or corruption returns an
-// error — never a panic.
+// This build only reads v3 bodies — Save writes v4 (persistbin4.go),
+// which reuses the section payload encodings below. Reading validates
+// every length against hard limits before allocating, and any
+// truncation or corruption returns an error — never a panic.
 
 var binMagic = [8]byte{'M', 'L', 'T', '3', 0, 0, 0, 0}
 
@@ -83,33 +83,6 @@ func actName(code uint8) (string, bool) {
 	return "", false
 }
 
-// binWriter appends sections with deterministic padding.
-type binWriter struct {
-	w   io.Writer
-	off int // bytes written past the magic
-	err error
-}
-
-func (bw *binWriter) write(p []byte) {
-	if bw.err != nil {
-		return
-	}
-	_, bw.err = bw.w.Write(p)
-	bw.off += len(p)
-}
-
-func (bw *binWriter) section(tag string, payload []byte) {
-	var hdr [8]byte
-	copy(hdr[:4], tag)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	bw.write(hdr[:])
-	bw.write(payload)
-	if pad := (8 - bw.off%8) % 8; pad > 0 {
-		var zero [8]byte
-		bw.write(zero[:pad])
-	}
-}
-
 // encodeScalerSection encodes the SCAL payload.
 func encodeScalerSection(scaler ann.TargetScaler) []byte {
 	var scal [16]byte
@@ -118,8 +91,8 @@ func encodeScalerSection(scaler ann.TargetScaler) []byte {
 	return scal[:]
 }
 
-// encodeShapeSection encodes the ENSH payload, shared by the v3 and v4
-// writers, and returns the total weight count the shape implies.
+// encodeShapeSection encodes the ENSH payload (the v3 encoding, reused by
+// the v4 writer) and returns the total weight count the shape implies.
 func encodeShapeSection(st ann.EnsembleState) ([]byte, int, error) {
 	var shape []byte
 	u32 := func(v uint32) {
@@ -162,24 +135,6 @@ func encodeWeightSection(st ann.EnsembleState, totalWeights int) []byte {
 		}
 	}
 	return weights
-}
-
-// writeBinaryPayload writes the v3 body (magic + sections) for the
-// model's scaler and ensemble state.
-func writeBinaryPayload(w io.Writer, scaler ann.TargetScaler, st ann.EnsembleState) error {
-	bw := &binWriter{w: w}
-	bw.write(binMagic[:])
-	bw.section(binSecScaler, encodeScalerSection(scaler))
-	shape, totalWeights, err := encodeShapeSection(st)
-	if err != nil {
-		return err
-	}
-	bw.section(binSecShape, shape)
-	bw.section(binSecWeights, encodeWeightSection(st, totalWeights))
-	if bw.err != nil {
-		return fmt.Errorf("core: writing v3 model body: %w", bw.err)
-	}
-	return nil
 }
 
 // binCursor walks a fully-read v3 body with bounds-checked reads.

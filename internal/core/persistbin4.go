@@ -14,8 +14,8 @@ import (
 //
 // The v3 body made replica installs parse a flat buffer instead of a
 // gob stream, but installing still paid a full decode: every weight
-// copied to the heap and — when a quantised engine is selected — a
-// quantisation pass over the whole ensemble. The v4 body removes both.
+// copied to the heap and a quantisation pass over the whole ensemble
+// for the int16 top-M screen. The v4 body removes both.
 // It is a single contiguous arena laid out so a loader can point typed
 // slices straight into a read-only memory mapping of the file:
 //
@@ -26,23 +26,23 @@ import (
 // The JSON header line above the body is space-padded so the body —
 // and therefore every section payload — starts at a 64-byte *file*
 // offset: payloads are cache-line aligned in the mapping, and every
-// array type used (float64, int64, int32, int16, int8) lands on its
-// natural alignment. Unknown tags are skipped on read. Sections:
+// array type used (float64, int64, int16) lands on its natural
+// alignment. Unknown tags are skipped on read. Sections:
 //
 //	"SCAL"  target scaler: Mean, Std                (2 × float64)
 //	"ENSH"  ensemble shape (identical payload encoding to v3)
 //	"WGTS"  all weights, member-major layer-major float64 LE — the
 //	        ensemble aliases this in place (ann.EnsembleFromStateShared)
-//	"QLUT"  the Q14 sigmoid table the quantised tables were built
+//	"QLUT"  the Q14 sigmoid table the int16 tables were built
 //	        against (ann.SigmoidTableQ14); verified at load, the
-//	        process-wide shared table is used for inference
-//	"Q16T"  int16 engine tables (ann.QuantizedEnsemble.AppendTables)
-//	"QNT8"  int8 engine tables (ann.Quantized8Ensemble.AppendTables8)
+//	        process-wide shared table is used for screening
+//	"Q16T"  int16 screening tables (ann.QuantizedEnsemble.AppendTables)
 //
-// Q16T/QNT8 are present only when the ensemble quantises (diverged
-// weight magnitudes refuse); loading then falls back to quantise-on-
-// demand exactly like a v3 model. Writing is deterministic byte for
-// byte. Reading validates every length before allocating and returns
+// QLUT/Q16T are present only when the ensemble quantises (diverged
+// weight magnitudes refuse); the loaded model then screens top-M with
+// the float interval pass. Files written before the int8 engine was
+// retired also carry a "QNT8" section, which the reader skips like any
+// unknown tag. Writing is deterministic byte for byte. Reading validates every length before allocating and returns
 // errors — never panics — on truncation or corruption. On platforms or
 // payloads where aliasing is impossible (big-endian, misaligned buffer)
 // the loader transparently copy-decodes; predictions are identical.
@@ -53,7 +53,6 @@ const (
 	binAlign4  = 64
 	binSecLut  = "QLUT"
 	binSecQ16  = "Q16T"
-	binSecQ8   = "QNT8"
 	binMaxBody = 1 << 31 // caps corrupted section lengths
 )
 
@@ -88,9 +87,9 @@ func (bw *binWriter4) section(tag string, payload []byte) {
 	bw.pad()
 }
 
-// writeBinaryPayloadV4 writes the v4 arena body. q16 and q8, when
-// non-nil, contribute the engine-table sections.
-func writeBinaryPayloadV4(w io.Writer, scaler ann.TargetScaler, st ann.EnsembleState, q16 *ann.QuantizedEnsemble, q8 *ann.Quantized8Ensemble) error {
+// writeBinaryPayloadV4 writes the v4 arena body. q16, when non-nil,
+// contributes the int16 table sections.
+func writeBinaryPayloadV4(w io.Writer, scaler ann.TargetScaler, st ann.EnsembleState, q16 *ann.QuantizedEnsemble) error {
 	bw := &binWriter4{w: w}
 	bw.write(binMagic4[:])
 	bw.pad()
@@ -101,19 +100,14 @@ func writeBinaryPayloadV4(w io.Writer, scaler ann.TargetScaler, st ann.EnsembleS
 	}
 	bw.section(binSecShape, shape)
 	bw.section(binSecWeights, encodeWeightSection(st, totalWeights))
-	if q16 != nil || q8 != nil {
+	if q16 != nil {
 		lut := ann.SigmoidTableQ14()
 		lutBytes := make([]byte, 2*len(lut))
 		for i, v := range lut {
 			binary.LittleEndian.PutUint16(lutBytes[2*i:], uint16(v))
 		}
 		bw.section(binSecLut, lutBytes)
-	}
-	if q16 != nil {
 		bw.section(binSecQ16, q16.AppendTables(nil))
-	}
-	if q8 != nil {
-		bw.section(binSecQ8, q8.AppendTables8(nil))
 	}
 	if bw.err != nil {
 		return fmt.Errorf("core: writing v4 model body: %w", bw.err)
@@ -124,7 +118,7 @@ func writeBinaryPayloadV4(w io.Writer, scaler ann.TargetScaler, st ann.EnsembleS
 // v4Sections holds the located section payloads (sub-slices of the
 // body, not copies).
 type v4Sections struct {
-	scal, shape, weights, lut, q16, q8 []byte
+	scal, shape, weights, lut, q16 []byte
 }
 
 // parseV4Sections walks the v4 body and locates the known sections.
@@ -160,8 +154,6 @@ func parseV4Sections(body []byte) (*v4Sections, error) {
 			s.lut = payload
 		case binSecQ16:
 			s.q16 = payload
-		case binSecQ8:
-			s.q8 = payload
 		default:
 			// Unknown section: skip. Additive sections from a newer minor
 			// revision must not break this reader.
@@ -183,12 +175,11 @@ func parseV4Sections(body []byte) (*v4Sections, error) {
 }
 
 // v4Decoded is the result of decoding a v4 body: the ensemble (aliasing
-// the body when possible) plus the prebuilt quantised engines.
+// the body when possible) plus the prebuilt int16 tables.
 type v4Decoded struct {
 	scaler   ann.TargetScaler
 	ensemble *ann.Ensemble
 	q16      *ann.QuantizedEnsemble
-	q8       *ann.Quantized8Ensemble
 }
 
 // decodeBinaryPayloadV4 decodes a v4 body. arena, when non-nil, is the
@@ -238,36 +229,25 @@ func decodeBinaryPayloadV4(body []byte, members int, arena *mmapx.Data) (*v4Deco
 		return nil, err
 	}
 
-	// Engine tables. The file's LUT must match this build's shared table
-	// — the tables were computed against it, and inference runs on the
+	// int16 tables. The file's LUT must match this build's shared table
+	// — the tables were computed against it, and screening runs on the
 	// shared copy (one hot 16 KiB table across all installed models).
-	if secs.q16 != nil || secs.q8 != nil {
+	if secs.q16 != nil {
 		lut := ann.SigmoidTableQ14()
 		if len(secs.lut) != 2*len(lut) {
 			return nil, fmt.Errorf("core: v4 sigmoid table is %d bytes, this build's is %d", len(secs.lut), 2*len(lut))
 		}
 		for i, v := range lut {
 			if int16(binary.LittleEndian.Uint16(secs.lut[2*i:])) != v {
-				return nil, fmt.Errorf("core: v4 sigmoid table differs from this build's at cell %d — refusing engine tables quantised against a different grid", i)
+				return nil, fmt.Errorf("core: v4 sigmoid table differs from this build's at cell %d — refusing int16 tables quantised against a different grid", i)
 			}
 		}
-	}
-	if secs.q16 != nil {
 		d.q16, err = ann.QuantizedEnsembleFromTables(secs.q16, arena)
 		if err != nil {
-			return nil, fmt.Errorf("core: v4 int16 engine tables: %w", err)
+			return nil, fmt.Errorf("core: v4 int16 tables: %w", err)
 		}
 		if d.q16.InputDim() != nets[0].Sizes[0] {
-			return nil, fmt.Errorf("core: v4 int16 engine tables expect %d inputs, ensemble has %d", d.q16.InputDim(), nets[0].Sizes[0])
-		}
-	}
-	if secs.q8 != nil {
-		d.q8, err = ann.Quantized8EnsembleFromTables(secs.q8, arena)
-		if err != nil {
-			return nil, fmt.Errorf("core: v4 int8 engine tables: %w", err)
-		}
-		if d.q8.InputDim() != nets[0].Sizes[0] {
-			return nil, fmt.Errorf("core: v4 int8 engine tables expect %d inputs, ensemble has %d", d.q8.InputDim(), nets[0].Sizes[0])
+			return nil, fmt.Errorf("core: v4 int16 tables expect %d inputs, ensemble has %d", d.q16.InputDim(), nets[0].Sizes[0])
 		}
 	}
 	return d, nil

@@ -246,12 +246,13 @@ func TestSessionObserverOrdering(t *testing.T) {
 
 func TestSessionWorkerCountInvariance(t *testing.T) {
 	// The same seed must produce identical results and identical sample
-	// event streams no matter how many workers gather.
+	// event streams no matter how many workers gather — for the ML tuner
+	// and for the seeded baselines alike.
 	_, m := quadSpace()
-	run := func(workers int) (*Result, []Event) {
+	run := func(strategy string, workers int) (*Result, []Event) {
 		var events []Event
 		s, err := NewSession(m,
-			Options{TrainingSamples: 50, SecondStage: 15, Seed: 11, Model: fastModelConfig(11)},
+			Options{TrainingSamples: 50, SecondStage: 15, Budget: 80, Restarts: 2, Seed: 11, Model: fastModelConfig(11)},
 			WithWorkers(workers),
 			WithObserver(func(ev Event) {
 				if ev.Kind == EventSampleMeasured {
@@ -261,24 +262,26 @@ func TestSessionWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run(context.Background(), "ml")
+		res, err := s.Run(context.Background(), strategy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, events
 	}
-	r1, e1 := run(1)
-	r8, e8 := run(8)
-	if !r1.Best.Equal(r8.Best) || r1.BestSeconds != r8.BestSeconds {
-		t.Errorf("workers changed the result: %v/%v vs %v/%v", r1.Best, r1.BestSeconds, r8.Best, r8.BestSeconds)
-	}
-	if len(e1) != len(e8) {
-		t.Fatalf("event counts differ: %d vs %d", len(e1), len(e8))
-	}
-	for i := range e1 {
-		if !e1[i].Config.Equal(e8[i].Config) || e1[i].Seconds != e8[i].Seconds {
-			t.Fatalf("event %d differs: %v/%v vs %v/%v", i,
-				e1[i].Config, e1[i].Seconds, e8[i].Config, e8[i].Seconds)
+	for _, strategy := range []string{"ml", "random", "hillclimb"} {
+		r1, e1 := run(strategy, 1)
+		r8, e8 := run(strategy, 8)
+		if !r1.Best.Equal(r8.Best) || r1.BestSeconds != r8.BestSeconds {
+			t.Errorf("%s: workers changed the result: %v/%v vs %v/%v", strategy, r1.Best, r1.BestSeconds, r8.Best, r8.BestSeconds)
+		}
+		if len(e1) != len(e8) {
+			t.Fatalf("%s: event counts differ: %d vs %d", strategy, len(e1), len(e8))
+		}
+		for i := range e1 {
+			if !e1[i].Config.Equal(e8[i].Config) || e1[i].Seconds != e8[i].Seconds {
+				t.Fatalf("%s: event %d differs: %v/%v vs %v/%v", strategy, i,
+					e1[i].Config, e1[i].Seconds, e8[i].Config, e8[i].Seconds)
+			}
 		}
 	}
 }
@@ -604,33 +607,5 @@ func TestModelSaveFileRoundTrip(t *testing.T) {
 	if got, want := loaded.Predict(loaded.Space().At(7), loaded.NewScratch()),
 		model.Predict(cfg, model.NewScratch()); got != want {
 		t.Errorf("file round trip prediction %v, want %v", got, want)
-	}
-}
-
-func TestDeprecatedWrappersSeedStable(t *testing.T) {
-	// The old entry points delegate to the new API; fixed seeds must
-	// keep producing identical results run over run.
-	_, m := quadSpace()
-	r1, err := RandomSearch(m, 60, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RandomSearch(m, 60, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Best.Equal(r2.Best) || r1.BestSeconds != r2.BestSeconds {
-		t.Errorf("RandomSearch not seed-stable: %v vs %v", r1, r2)
-	}
-	h1, err := HillClimb(m, 80, 2, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := HillClimb(m, 80, 2, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h1.Best.Equal(h2.Best) || h1.BestSeconds != h2.BestSeconds {
-		t.Errorf("HillClimb not seed-stable: %v vs %v", h1, h2)
 	}
 }

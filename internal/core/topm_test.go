@@ -10,51 +10,8 @@ import (
 	"repro/internal/ann"
 	"repro/internal/bench"
 	"repro/internal/devsim"
+	"repro/internal/tuning"
 )
-
-// engineView returns the model re-engined under name, failing the test if
-// the selection is refused.
-func engineView(t testing.TB, m *Model, name string) *Model {
-	t.Helper()
-	v, err := m.WithEngine(name)
-	if err != nil {
-		t.Fatalf("WithEngine(%q): %v", name, err)
-	}
-	return v
-}
-
-// TestTopMEngineSetIdentity pins the engine contract on the fast test
-// model: every screening engine's sweep returns exactly the
-// float-reference set, same indices, same order, same bits, for every
-// worker count.
-func TestTopMEngineSetIdentity(t *testing.T) {
-	m := trainedTestModel(t)
-	const M = 50
-	want := bruteTopM(m, M)
-	for _, name := range ann.EngineNames() {
-		t.Run(name, func(t *testing.T) {
-			q := engineView(t, m, name)
-			if q.EngineName() != name {
-				t.Fatalf("EngineName() = %q", q.EngineName())
-			}
-			if name != ann.EngineFloat64 && q.EngineErrorBound() <= 0 {
-				t.Fatalf("%s engine reports error bound %g", name, q.EngineErrorBound())
-			}
-			for workers := 1; workers <= 8; workers++ {
-				got := q.topM(M, workers)
-				if len(got) != M {
-					t.Fatalf("workers=%d: got %d results, want %d", workers, len(got), M)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d: result %d = %+v, want %+v (engine changed the ranking)",
-							workers, i, got[i], want[i])
-					}
-				}
-			}
-		})
-	}
-}
 
 // paperConvModel trains the paper-default convolution model (k=11,
 // hidden=30) on simulated K40 measurements, shared across the heavy
@@ -96,26 +53,118 @@ func paperConvolutionModel(t *testing.T) *Model {
 	return paperConvModel
 }
 
-// TestConvolutionTopMEngineSetIdentity is the acceptance pin: over the
-// full 131K convolution space, every engine's TopM — including the
-// int8 engine over the cache-blocked sweeper — returns the identical
-// set, indices AND order after tie-break, as the float engine's.
-func TestConvolutionTopMEngineSetIdentity(t *testing.T) {
-	m := paperConvolutionModel(t)
-	const M = 200
-	want := m.TopM(M)
-	if len(want) != M {
-		t.Fatalf("reference length %d, want %d", len(want), M)
+// portableOutOfDomainModel trains a small portable convolution model
+// pooled from three catalog devices and binds it to a GTX980 descriptor
+// whose 40 GHz clock puts the clock feature (clock/5 GHz = 8) outside
+// the int16 tables' input domain. Descriptor.Validate accepts it, so a
+// client can send it.
+func portableOutOfDomainModel(t *testing.T) *Model {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("portable convolution model: skipped in -short")
 	}
-	for _, name := range ann.EngineNames() {
-		t.Run(name, func(t *testing.T) {
-			got := engineView(t, m, name).TopM(M)
-			if len(got) != M {
-				t.Fatalf("length %d, want %d", len(got), M)
+	bm := bench.MustLookup("convolution")
+	rng := rand.New(rand.NewSource(9))
+	var samples []Sample
+	for _, name := range []string{devsim.IntelI7, devsim.AMD7970, devsim.NvidiaK40} {
+		dev := devsim.MustLookup(name)
+		desc := dev.Descriptor()
+		vec := tuning.DeviceVector(&desc, nil)
+		meas, err := NewSimMeasurer(bm, dev, bench.Size{}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range bm.Space().Sample(rng, 150) {
+			secs, err := meas.Measure(context.Background(), cfg)
+			if err != nil {
+				continue
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("result %d: %s engine %+v, float reference %+v", i, name, got[i], want[i])
+			samples = append(samples, Sample{Config: cfg, Seconds: secs, Device: vec})
+		}
+	}
+	mc := DefaultModelConfig(9)
+	mc.Ensemble.K = 3
+	mc.Ensemble.Hidden = 12
+	mc.Ensemble.Train.Epochs = 30
+	mc.DeviceFeatures = true
+	portable, err := TrainModel(bm.Space(), samples, nil, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := devsim.MustLookup(devsim.NvidiaGTX980).Descriptor()
+	desc.ClockGHz = 40
+	if err := desc.Validate(); err != nil {
+		t.Fatalf("out-of-domain descriptor rejected: %v", err)
+	}
+	bound, err := portable.WithDevice(tuning.DeviceVector(&desc, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bound
+}
+
+// refusedTestModel is trainedTestModel with one first-layer weight set
+// to 4e4, past the int16 range: the quantiser refuses the ensemble.
+func refusedTestModel(t *testing.T) *Model {
+	t.Helper()
+	m := trainedTestModel(t)
+	st := m.ensemble.State()
+	st.Nets[0].Weights[0][0] = 4e4
+	ensemble, err := ann.EnsembleFromState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := *m
+	refused.ensemble = ensemble
+	refused.q16 = quantizeScreen(ensemble)
+	if refused.q16 != nil {
+		t.Fatal("quantiser accepted a 4e4 weight")
+	}
+	return &refused
+}
+
+// TestTopMEngineSetIdentity pins the screen-selection contract: each
+// model class takes the screen its own inputs allow — no option picks
+// it — and every one returns exactly the set, order and seconds of an
+// unscreened exhaustive exact sweep, for every worker count. Rows are
+// named after the screen they must take:
+//
+//   - "int16": a freshly trained model takes the int16 screen, which
+//     must prune — fewer than 5% of the space pays an exact score;
+//   - "float64": a portable model bound to an out-of-domain descriptor
+//     takes the float interval pass, because the int16 error proof does
+//     not cover its features;
+//   - "float64-refused": a model the quantiser refuses takes the float
+//     interval pass.
+func TestTopMEngineSetIdentity(t *testing.T) {
+	const M = 50
+	for _, tc := range []struct {
+		name  string
+		model func(t *testing.T) *Model
+		int16 bool
+	}{
+		{"int16", paperConvolutionModel, true},
+		{"float64", portableOutOfDomainModel, false},
+		{"float64-refused", refusedTestModel, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.model(t)
+			if got := m.newScreen(m.NewBatchScratch()).sweep != nil; got != tc.int16 {
+				t.Fatalf("int16 screen engaged = %v, want %v", got, tc.int16)
+			}
+			want := bruteTopM(m, M)
+			res := m.TopMIncremental(M, nil)
+			if !samePredicted(res.Top, want) {
+				t.Fatal("screened TopM differs from the exhaustive exact sweep")
+			}
+			size := m.Space().Size()
+			if tc.int16 && res.Scored*20 >= size {
+				t.Fatalf("int16 screen scored %d of %d configs (≥ 5%%): it did not prune", res.Scored, size)
+			}
+			t.Logf("scored %d of %d configs (%.2f%%)", res.Scored, size, 100*float64(res.Scored)/float64(size))
+			for _, workers := range []int{1, 3, 8} {
+				if got := m.topM(M, workers); !samePredicted(got, want) {
+					t.Fatalf("workers=%d: screened TopM differs from the exhaustive exact sweep", workers)
 				}
 			}
 		})
@@ -248,11 +297,14 @@ func TestTopMIncrementalRejectsForeignPrev(t *testing.T) {
 }
 
 // TestTopMIncrementalInt16Engine: the warm-started sweep composes with
-// the quantised screening engine without changing the answer.
+// the int16 screen without changing the answer.
 func TestTopMIncrementalInt16Engine(t *testing.T) {
 	const M = 50
 	prev := trainedTestModel(t).TopMIncremental(M, nil)
-	m2 := engineView(t, retrainedTestModel(t), ann.EngineInt16)
+	m2 := retrainedTestModel(t)
+	if m2.newScreen(m2.NewBatchScratch()).sweep == nil {
+		t.Fatal("retrained model does not take the int16 screen")
+	}
 	warm := m2.TopMIncremental(M, prev)
 	if !samePredicted(warm.Top, bruteTopM(m2, M)) {
 		t.Fatal("int16-screened seeded sweep differs from the scalar specification")

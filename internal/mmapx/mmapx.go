@@ -11,7 +11,7 @@
 // the mapping MUST also keep a reference to the Data (an interior
 // pointer into mapped memory does not root the Data object for the GC),
 // which is why the model loader threads a hold reference through every
-// engine it builds over an arena. Live reports the number of currently
+// structure it builds over an arena. Live reports the number of currently
 // mapped regions; the mmap-lifecycle tests assert it returns to zero
 // once the last holder is collected.
 //
@@ -135,17 +135,6 @@ func Int64s(b []byte) (s []int64, ok bool) {
 	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8), true
 }
 
-// Int32s reinterprets b as little-endian int32s in place (see Float64s).
-func Int32s(b []byte) (s []int32, ok bool) {
-	if !littleEndian || len(b)%4 != 0 || !aligned(b, 4) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return nil, true
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4), true
-}
-
 // Int16s reinterprets b as little-endian int16s in place (see Float64s).
 func Int16s(b []byte) (s []int16, ok bool) {
 	if !littleEndian || len(b)%2 != 0 || !aligned(b, 2) {
@@ -155,13 +144,4 @@ func Int16s(b []byte) (s []int16, ok bool) {
 		return nil, true
 	}
 	return unsafe.Slice((*int16)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/2), true
-}
-
-// Int8s reinterprets b as int8s in place; byte order and alignment are
-// trivial, so it always succeeds.
-func Int8s(b []byte) []int8 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
 }

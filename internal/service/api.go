@@ -239,6 +239,12 @@ type ModelsRequest struct {
 	Shard     string
 }
 
+// servedEngine is the value of the engine field in /v1/models, /v1/stats
+// and the RPC models frame. Every prediction is served by the exact
+// float64 scorer, so it is always "float64"; the field stays so the
+// wire format and reports keyed on it do not change.
+const servedEngine = "float64"
+
 // ModelsResponse is the GET /v1/models (and RPC models-delta) result.
 type ModelsResponse struct {
 	Role            Role        `json:"role"`
@@ -315,8 +321,8 @@ type Readiness struct {
 type StatsResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Role is the plane this instance runs (all, serve, train); Engine is
-	// the read path's inference engine (-engine flag); Storage names the
-	// backend behind each store.
+	// always "float64" (see servedEngine); Storage names the backend
+	// behind each store.
 	Role    Role        `json:"role"`
 	Engine  string      `json:"engine"`
 	Storage storageInfo `json:"storage"`
@@ -673,7 +679,7 @@ func (s *Server) Models(req *ModelsRequest) (*ModelsResponse, error) {
 	}
 	return &ModelsResponse{
 		Role:            s.role,
-		Engine:          s.Engine(),
+		Engine:          servedEngine,
 		Storage:         s.reg.Backend().Name(),
 		Generation:      gen,
 		Shard:           s.shardInfo(),
@@ -873,7 +879,7 @@ func (s *Server) Stats() *StatsResponse {
 	resp := &StatsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Role:          s.role,
-		Engine:        s.Engine(),
+		Engine:        servedEngine,
 		Storage:       storageInfo{Models: s.reg.Backend().Name(), Samples: s.samples.Backend().Name()},
 		Shard:         s.shardInfo(),
 		Generation:    s.reg.Generation(),

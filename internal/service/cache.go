@@ -3,7 +3,6 @@ package service
 import (
 	"sync"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/tuning"
 )
@@ -29,9 +28,6 @@ import (
 // always identical to a cold sweep of the current model.
 type serveCache struct {
 	m *cacheMetrics // nil-safe: a bare cache runs unmetered
-	// engine is the read path's configured inference engine name
-	// (Server.WithEngine); "" serves on the float64 reference.
-	engine string
 
 	mu      sync.Mutex
 	entries map[ModelKey]*serveEntry
@@ -54,11 +50,8 @@ type bindRec struct {
 
 // serveEntry caches read-path state for one loaded model.
 type serveEntry struct {
-	// src is the model the registry (or bind memo) handed out — the
-	// pointer the cache's identity check runs on. model is the serving
-	// view: src with the configured engine applied, or src itself when
-	// the engine is the reference or could not be applied.
-	src       *core.Model
+	// model is the model the registry (or bind memo) handed out — the
+	// pointer the cache's identity check runs on.
 	model     *core.Model
 	cache     *serveCache
 	key       ModelKey
@@ -83,10 +76,9 @@ type topMRec struct {
 // values; beyond it the map is reset rather than evicted piecemeal.
 const maxTopMCacheEntries = 8
 
-func newServeCache(m *cacheMetrics, engine string) *serveCache {
+func newServeCache(m *cacheMetrics) *serveCache {
 	return &serveCache{
 		m:       m,
-		engine:  engine,
 		entries: make(map[ModelKey]*serveEntry),
 		binds:   make(map[ModelKey]bindRec),
 		prevTop: make(map[ModelKey]map[int]*core.TopMResult),
@@ -113,23 +105,6 @@ func (c *serveCache) bound(key ModelKey, parent *core.Model, device []float64) (
 	return bound, nil
 }
 
-// engineView applies the configured engine to m. Engine selection can
-// refuse a model (the int16 proof covers neither exotic topologies nor
-// diverged weight magnitudes); the read path then serves that model on
-// the float64 reference — correct, just slower — and counts the
-// fallback rather than failing requests.
-func (c *serveCache) engineView(m *core.Model) *core.Model {
-	if c.engine == "" || c.engine == ann.EngineFloat64 {
-		return m
-	}
-	view, err := m.WithEngine(c.engine)
-	if err != nil {
-		c.m.engineFallback()
-		return m
-	}
-	return view
-}
-
 // entry returns the cache slot for key's current model, building a fresh
 // one when none exists or the model pointer changed (reload, retrain,
 // re-bind). A fresh slot snapshots the retained top-M results for the
@@ -138,16 +113,15 @@ func (c *serveCache) entry(key ModelKey, m *core.Model) *serveEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
-	if e == nil || e.src != m {
+	if e == nil || e.model != m {
 		c.m.entry(false)
 		prev := make(map[int]*core.TopMResult, len(c.prevTop[key]))
 		for M, res := range c.prevTop[key] {
 			prev[M] = res
 		}
-		e = &serveEntry{src: m, model: c.engineView(m), cache: c, key: key,
+		e = &serveEntry{model: m, cache: c, key: key,
 			m: c.m, topM: make(map[int]*topMRec), prev: prev}
-		view := e.model
-		e.scratches.New = func() any { return view.NewBatchScratch() }
+		e.scratches.New = func() any { return m.NewBatchScratch() }
 		c.entries[key] = e
 	} else {
 		c.m.entry(true)

@@ -3,119 +3,77 @@ package service
 import (
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/devsim"
 )
 
-// TestEngineOptionEndToEnd runs the read path under every registered
-// engine and checks the serving contract: the engine in effect shows up
-// in /v1/stats and /v1/models, predictions stay sane, and the top-M
-// answer — set, order and exact seconds — is identical across engines,
-// because engines only ever screen the sweep while the result heap
-// holds float-reference scores.
-func TestEngineOptionEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	reg, err := OpenRegistry(dir)
+// TestServedEngineEndToEnd checks the serving contract over HTTP: the
+// engine field of /v1/stats and /v1/models is always "float64", and a
+// single predict and a top-M answer — set, order and exact seconds —
+// match the exact scorer of the model in the registry bit for bit.
+func TestServedEngineEndToEnd(t *testing.T) {
+	reg, err := OpenRegistry(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := ModelKey{Benchmark: "convolution", Device: devsim.IntelI7}
-	if err := reg.Put(key, trainTinyModel(t, 41)); err != nil {
+	model := trainTinyModel(t, 41)
+	if err := reg.Put(key, model); err != nil {
 		t.Fatal(err)
 	}
+	ts := httptest.NewServer(newTestServer(t, reg, 1, 2))
+	defer ts.Close()
+	client := ts.Client()
 
-	type topResp struct {
+	var stats struct {
+		Engine string `json:"engine"`
+	}
+	jget(t, client, ts.URL, "/v1/stats", http.StatusOK, &stats)
+	if stats.Engine != "float64" {
+		t.Errorf("/v1/stats engine %q, want float64", stats.Engine)
+	}
+	var listing struct {
+		Engine string `json:"engine"`
+		Models []struct {
+			Loaded       bool `json:"loaded"`
+			WeightFormat int  `json:"weight_format"`
+		} `json:"models"`
+	}
+	var single struct {
+		Seconds float64 `json:"seconds"`
+	}
+	jget(t, client, ts.URL, "/v1/predict?benchmark=convolution&device="+devQ+"&index=4242",
+		http.StatusOK, &single)
+	if want := model.PredictIndices([]int64{4242}, model.NewBatchScratch(), nil)[0]; single.Seconds != want {
+		t.Errorf("predict seconds %v, exact scorer %v", single.Seconds, want)
+	}
+	jget(t, client, ts.URL, "/v1/models", http.StatusOK, &listing)
+	if listing.Engine != "float64" {
+		t.Errorf("/v1/models engine %q, want float64", listing.Engine)
+	}
+	if len(listing.Models) != 1 || !listing.Models[0].Loaded {
+		t.Fatalf("listing %+v", listing.Models)
+	}
+	if wf := listing.Models[0].WeightFormat; wf != 4 {
+		t.Errorf("loaded model reports weight_format %d, want 4", wf)
+	}
+
+	var top struct {
 		Top []struct {
 			Index   int64   `json:"index"`
 			Seconds float64 `json:"seconds"`
 		} `json:"top"`
 	}
-	tops := make(map[string]topResp)
-
-	for _, name := range ann.EngineNames() {
-		t.Run(name, func(t *testing.T) {
-			srv := newTestServer(t, reg, 1, 2, WithEngine(name))
-			if srv.Engine() != name {
-				t.Fatalf("Engine() = %q, want %q", srv.Engine(), name)
-			}
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
-			client := ts.Client()
-
-			var stats struct {
-				Engine string `json:"engine"`
-			}
-			jget(t, client, ts.URL, "/v1/stats", http.StatusOK, &stats)
-			if stats.Engine != name {
-				t.Errorf("/v1/stats engine %q, want %q", stats.Engine, name)
-			}
-
-			var listing struct {
-				Engine string `json:"engine"`
-				Models []struct {
-					Loaded       bool `json:"loaded"`
-					WeightFormat int  `json:"weight_format"`
-				} `json:"models"`
-			}
-			jget(t, client, ts.URL, "/v1/models", http.StatusOK, &listing)
-			if listing.Engine != name {
-				t.Errorf("/v1/models engine %q, want %q", listing.Engine, name)
-			}
-			if len(listing.Models) != 1 || !listing.Models[0].Loaded {
-				t.Fatalf("listing %+v", listing.Models)
-			}
-			if wf := listing.Models[0].WeightFormat; wf < 1 {
-				t.Errorf("loaded model reports weight_format %d, want >= 1", wf)
-			}
-
-			var single struct {
-				Seconds float64 `json:"seconds"`
-			}
-			jget(t, client, ts.URL, "/v1/predict?benchmark=convolution&device="+devQ+"&index=4242",
-				http.StatusOK, &single)
-			if single.Seconds <= 0 {
-				t.Errorf("predict seconds %v under engine %s", single.Seconds, name)
-			}
-
-			var top topResp
-			jget(t, client, ts.URL, "/v1/topm?benchmark=convolution&device="+devQ+"&m=8",
-				http.StatusOK, &top)
-			if len(top.Top) != 8 {
-				t.Fatalf("top-M length %d", len(top.Top))
-			}
-			tops[name] = top
-		})
+	jget(t, client, ts.URL, "/v1/topm?benchmark=convolution&device="+devQ+"&m=8",
+		http.StatusOK, &top)
+	want := model.TopM(8)
+	if len(top.Top) != len(want) {
+		t.Fatalf("top-M length %d, want %d", len(top.Top), len(want))
 	}
-
-	ref := tops[ann.EngineFloat64]
-	for name, top := range tops {
-		for i := range ref.Top {
-			if top.Top[i] != ref.Top[i] {
-				t.Errorf("engine %s top-M differs from reference at %d: %+v vs %+v",
-					name, i, top.Top[i], ref.Top[i])
-			}
-		}
-	}
-}
-
-// TestUnknownEngineRejected pins construction-time validation: a typo'd
-// -engine must fail server construction with an error naming the valid
-// set, not fall back silently.
-func TestUnknownEngineRejected(t *testing.T) {
-	reg, err := OpenRegistry(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(reg, 1, 2, WithEngine("float32"))
-	if err == nil {
-		t.Fatal("New accepted an unknown engine")
-	}
-	for _, n := range ann.EngineNames() {
-		if !strings.Contains(err.Error(), n) {
-			t.Errorf("error %q does not name valid engine %q", err, n)
+	for i, p := range want {
+		if top.Top[i].Index != p.Index || top.Top[i].Seconds != p.Seconds {
+			t.Errorf("top-M %d: served %+v, model %+v", i, top.Top[i], p)
 		}
 	}
 }

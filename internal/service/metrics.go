@@ -112,7 +112,6 @@ type cacheMetrics struct {
 	topmMisses    *telemetry.Counter
 	topmSeededC   *telemetry.Counter
 	invalidations *telemetry.Counter
-	fallbacks     *telemetry.Counter
 }
 
 func (m *cacheMetrics) entry(hit bool) {
@@ -162,15 +161,6 @@ func (m *cacheMetrics) invalidated() {
 		return
 	}
 	m.invalidations.Inc()
-}
-
-// engineFallback counts a model the configured serving engine refused;
-// the read path serves it on the float64 reference instead.
-func (m *cacheMetrics) engineFallback() {
-	if m == nil {
-		return
-	}
-	m.fallbacks.Inc()
 }
 
 // storeMetrics instruments the sample store. The zero value (all-nil
@@ -265,8 +255,6 @@ func newServerMetrics() *serverMetrics {
 			"Top-M sweeps warm-started from a retained previous result (incremental reuse or seeded screening instead of a cold sweep)."),
 		invalidations: reg.Counter("mltuned_serve_cache_invalidations_total",
 			"Serve-cache invalidations (model Put or registry reload)."),
-		fallbacks: reg.Counter("mltuned_engine_fallbacks_total",
-			"Models the configured -engine could not be applied to, served on the float64 reference instead."),
 	}
 
 	m.store = storeMetrics{

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/devsim"
 	"repro/internal/mmapx"
@@ -42,9 +41,7 @@ func TestMmapSwapLifecycle(t *testing.T) {
 	if err := reg.Put(key, models[0]); err != nil {
 		t.Fatal(err)
 	}
-	// The int8 engine exercises the most state per model: quantised
-	// tables decoded straight out of the arena, plus the int16 cascade.
-	srv := newTestServer(t, reg, 1, 4, WithEngine(ann.EngineInt8))
+	srv := newTestServer(t, reg, 1, 4)
 
 	stop := make(chan struct{})
 	errs := make(chan error, 8)
@@ -64,6 +61,15 @@ func TestMmapSwapLifecycle(t *testing.T) {
 				if _, err := srv.Predict(&req); err != nil {
 					errs <- err
 					return
+				}
+				if g == 0 {
+					// Top-M screens with the int16 tables, which alias the
+					// arena like the weights do.
+					top := TopMRequest{Benchmark: "convolution", Device: devsim.IntelI7, M: 3}
+					if _, err := srv.TopM(&top); err != nil {
+						errs <- err
+						return
+					}
 				}
 				idx += 3
 			}

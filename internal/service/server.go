@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/devsim"
@@ -99,10 +98,6 @@ type Server struct {
 	shardCount int
 	peers      []string
 	rpcPeers   []string
-
-	// engine is the read path's configured inference engine name
-	// (WithEngine); "" = the float64 reference.
-	engine string
 
 	// metrics is the telemetry wiring behind GET /metrics and
 	// GET /v1/stats; always non-nil. rpcm holds the RPC-plane families,
@@ -203,17 +198,6 @@ func WithShardPeers(httpPeers, rpcPeers []string) Option {
 	}
 }
 
-// WithEngine serves the read path on the named inference engine (the
-// daemon's -engine flag; see ann.EngineNames). Batch predictions then
-// run within the engine's proven error bound of the float64 reference,
-// and top-M sweeps use it for screening only — top-M answers stay
-// identical to the reference engine's. Models the engine refuses (the
-// int16 proof does not cover every topology) fall back to the reference
-// per model, counted in mltuned_engine_fallbacks_total.
-func WithEngine(name string) Option {
-	return func(s *Server) { s.engine = name }
-}
-
 // WithSampleStore uses an explicitly opened sample store instead of the
 // default directory under the registry.
 func WithSampleStore(st *SampleStore) Option {
@@ -269,18 +253,6 @@ func New(reg *Registry, workers, backlog int, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.engine != "" {
-		valid := false
-		for _, n := range ann.EngineNames() {
-			if n == s.engine {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return nil, fmt.Errorf("service: unknown engine %q (want one of %v)", s.engine, ann.EngineNames())
-		}
-	}
 	if s.shardCount != 0 || s.shardIndex != 0 {
 		if s.shardCount < 1 || s.shardIndex < 0 || s.shardIndex >= s.shardCount {
 			return nil, fmt.Errorf("service: invalid shard %d/%d (want 0 <= index < count)", s.shardIndex, s.shardCount)
@@ -290,7 +262,7 @@ func New(reg *Registry, workers, backlog int, opts ...Option) (*Server, error) {
 	if s.ring == nil && (len(s.peers) > 0 || len(s.rpcPeers) > 0) {
 		return nil, fmt.Errorf("service: shard peers configured without a shard (use WithShard / -shard i/n)")
 	}
-	s.cache = newServeCache(s.metrics.cache, s.engine)
+	s.cache = newServeCache(s.metrics.cache)
 	if s.role == "" {
 		s.role = RoleAll
 	}
@@ -367,15 +339,6 @@ func (s *Server) Metrics() *telemetry.Registry { return s.metrics.reg }
 
 // Role reports which plane this instance runs.
 func (s *Server) Role() Role { return s.role }
-
-// Engine reports the read path's configured inference engine name,
-// resolving the default to the float64 reference.
-func (s *Server) Engine() string {
-	if s.engine == "" {
-		return ann.EngineFloat64
-	}
-	return s.engine
-}
 
 // readOnly gates a mutating handler by role: a serve-plane replica
 // answers 405 with the machine-readable kind "read_only" before even

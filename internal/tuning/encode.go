@@ -26,9 +26,9 @@ type Encoder struct {
 	// exactly as Encode would compute it.
 	feat [][]float64
 	// featQ14[i][pos] is feat[i][pos] in Q14 fixed point, rounded exactly
-	// as ann.QuantizeQ14 — the int16 engine's input convention — so the
-	// quantised sweep pays a table lookup instead of a float encode plus
-	// per-feature rounding.
+	// as ann.QuantizeQ14 — the int16 screening tables' input convention —
+	// so the quantised sweep pays a table lookup instead of a float encode
+	// plus per-feature rounding.
 	featQ14 [][]int16
 }
 
@@ -124,9 +124,9 @@ func (e *Encoder) EncodeIndex(idx int64, dst []float64) []float64 {
 // EncodeIndexQ14 is EncodeIndex in Q14 fixed point: it appends the int16
 // feature vector of the configuration with the given dense space index,
 // each feature exactly ann.QuantizeQ14 of what EncodeIndex would
-// produce. It is the allocation-free encode primitive of the int16
-// engine's full-space sweep. It panics if idx is out of range, matching
-// Space.At.
+// produce: the from-scratch layout the int16 screen's incremental sweep
+// (built from Q14Levels) must reproduce. It panics if idx is out of
+// range, matching Space.At.
 func (e *Encoder) EncodeIndexQ14(idx int64, dst []int16) []int16 {
 	if idx < 0 || idx >= e.space.size {
 		panic("tuning: EncodeIndexQ14 index out of range")
@@ -147,7 +147,7 @@ func (e *Encoder) EncodeIndexQ14(idx int64, dst []int16) []int16 {
 // Q14Levels returns, per parameter in encode order, the Q14 feature
 // value of each parameter level — the tables behind EncodeIndexQ14, in
 // the exact digit layout of EncodeIndex (last parameter fastest). The
-// int16 engine's incremental full-space sweeper is built from them. The
+// int16 screen's incremental full-space sweeper is built from them. The
 // returned slices are fresh copies; callers may keep them.
 func (e *Encoder) Q14Levels() [][]int16 {
 	out := make([][]int16, len(e.featQ14))

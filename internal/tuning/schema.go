@@ -148,7 +148,7 @@ func (s *FeatureSchema) QuantizeTailQ14(tail []float64, dst []int16) []int16 {
 // configuration with the given dense space index — parameter block then
 // tail — to dst and returns it. Every feature is exactly ann.QuantizeQ14
 // of the corresponding EncodeIndex output, which is the input convention
-// the int16 engine's error bound is proven against.
+// the int16 screening tables' error bound is proven against.
 func (s *FeatureSchema) EncodeIndexQ14(idx int64, tail []int16, dst []int16) []int16 {
 	s.checkTailQ14(tail)
 	dst = s.enc.EncodeIndexQ14(idx, dst)

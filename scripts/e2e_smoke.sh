@@ -56,10 +56,7 @@ echo "== gathering samples offline (devsim measurer)"
 [ -s "$WORKDIR/samples.jsonl" ] || { echo "no samples dumped" >&2; exit 1; }
 
 echo "== starting mltuned (HTTP + RPC planes)"
-# -engine int16 matches the committed bench baselines' run.engine:
-# bench_diff refuses cross-engine comparisons, so the daemon mlbench
-# measures must serve the engine the baselines were recorded on.
-"$BIN/mltuned" -addr "$ADDR" -rpc-addr "$RPC_ADDR" -engine int16 \
+"$BIN/mltuned" -addr "$ADDR" -rpc-addr "$RPC_ADDR" \
     -models "$WORKDIR/models" -samples "$WORKDIR/samples" -train-workers 2 &
 DAEMON_PID=$!
 
@@ -172,12 +169,10 @@ echo "$out" | grep -q '"resolution": "portable"' \
 echo "$out" | grep -q '"seconds"' || { echo "inline prediction missing seconds" >&2; exit 1; }
 
 echo "== two-node: read-only serve replica pulling from the train node"
-# The replica runs the int8 read-path engine: replicated installs must
-# decode into the packed engine and serve from it, and the top-M answers
-# must stay engine-independent.
+# Replicated installs serve straight out of the pulled v4 artifacts.
 ADDR2="127.0.0.1:18373"
 BASE2="http://$ADDR2"
-"$BIN/mltuned" -addr "$ADDR2" -role serve -storage memory -engine int8 \
+"$BIN/mltuned" -addr "$ADDR2" -role serve -storage memory \
     -upstream "$BASE" -sync-interval 200ms &
 REPLICA_PID=$!
 # /readyz gates on the first successful sync, so readiness here proves
@@ -249,13 +244,12 @@ SH0_ADDR="127.0.0.1:18374"; SH0_RPC="127.0.0.1:19374"
 SH1_ADDR="127.0.0.1:18375"; SH1_RPC="127.0.0.1:19375"
 PEERS="http://$SH0_ADDR,http://$SH1_ADDR"
 RPC_PEERS="$SH0_RPC,$SH1_RPC"
-# The shards serve the upstream's engine (int16): the redirect check
-# below asserts bit-identical predictions against the unsharded node,
-# which only holds when both quantise the same way.
-"$BIN/mltuned" -addr "$SH0_ADDR" -rpc-addr "$SH0_RPC" -role serve -storage memory -engine int16 \
+# The redirect check below asserts bit-identical predictions against the
+# unsharded node: every node serves the same exact float64 scorer.
+"$BIN/mltuned" -addr "$SH0_ADDR" -rpc-addr "$SH0_RPC" -role serve -storage memory \
     -upstream "$BASE" -sync-interval 200ms -shard 0/2 -peers "$PEERS" -rpc-peers "$RPC_PEERS" &
 SHARD0_PID=$!
-"$BIN/mltuned" -addr "$SH1_ADDR" -rpc-addr "$SH1_RPC" -role serve -storage memory -engine int16 \
+"$BIN/mltuned" -addr "$SH1_ADDR" -rpc-addr "$SH1_RPC" -role serve -storage memory \
     -upstream "$BASE" -sync-interval 200ms -shard 1/2 -peers "$PEERS" -rpc-peers "$RPC_PEERS" &
 SHARD1_PID=$!
 for base in "http://$SH0_ADDR" "http://$SH1_ADDR"; do
