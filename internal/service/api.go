@@ -400,12 +400,14 @@ const (
 // and whether the serve cache may hold state for it. Inline-descriptor
 // resolutions are ephemeral: their keys are client-controlled, so
 // caching under them would grow the cache without bound, and the same
-// name may describe different hardware across requests.
+// name may describe different hardware across requests. gen is the
+// serve-cache generation observed before the registry lookup.
 type resolvedModel struct {
 	model     *core.Model
 	key       ModelKey
 	via       string
 	ephemeral bool
+	gen       uint64
 }
 
 // resolve maps a prediction request to a servable model, in the
@@ -448,6 +450,7 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (res
 	if err := s.checkOwner(ModelKey{Benchmark: benchmark, Device: label}); err != nil {
 		return resolvedModel{}, err
 	}
+	gen := s.cache.generation()
 
 	if desc == nil {
 		key := ModelKey{Benchmark: benchmark, Device: device}
@@ -455,7 +458,7 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (res
 		switch {
 		case err == nil:
 			if !m.Portable() {
-				return resolvedModel{model: m, key: key, via: resolutionExact}, nil
+				return resolvedModel{model: m, key: key, via: resolutionExact, gen: gen}, nil
 			}
 			// A portable artifact stored under a concrete device name
 			// (e.g. a renamed file): still servable, bound to that device.
@@ -464,11 +467,11 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (res
 				return fail(errKindInvalid,
 					"model %s is portable but %v; pass an inline descriptor", key, verr)
 			}
-			bound, berr := s.cache.bound(key, m, vec)
+			bound, berr := s.cache.bound(key, m, vec, gen)
 			if berr != nil {
 				return fail(errKindInternal, "%v", berr)
 			}
-			return resolvedModel{model: bound, key: key, via: resolutionPortable}, nil
+			return resolvedModel{model: bound, key: key, via: resolutionPortable, gen: gen}, nil
 		case !errors.Is(err, ErrModelNotFound):
 			return fail(errKindInternal, "%v", err)
 		}
@@ -506,11 +509,11 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (res
 			benchmark, device, pkey, verr)
 	}
 	key := ModelKey{Benchmark: benchmark, Device: device}
-	bound, berr := s.cache.bound(key, pm, vec)
+	bound, berr := s.cache.bound(key, pm, vec, gen)
 	if berr != nil {
 		return fail(errKindInternal, "%v", berr)
 	}
-	return resolvedModel{model: bound, key: key, via: resolutionPortable}, nil
+	return resolvedModel{model: bound, key: key, via: resolutionPortable, gen: gen}, nil
 }
 
 // predictThrough predicts cfgs through the resolved model — pooled and
@@ -520,7 +523,7 @@ func (s *Server) predictThrough(rm resolvedModel, cfgs []tuning.Config, dst []fl
 	if rm.ephemeral {
 		return rm.model.PredictBatchWith(cfgs, rm.model.NewBatchScratch(), dst)
 	}
-	return s.cache.entry(rm.key, rm.model).predictBatch(cfgs, dst)
+	return s.cache.entry(rm.key, rm.model, rm.gen).predictBatch(cfgs, dst)
 }
 
 // topMThrough answers a top-M query through the resolved model;
@@ -528,7 +531,7 @@ func (s *Server) predictThrough(rm resolvedModel, cfgs []tuning.Config, dst []fl
 // polluting the cache with client-controlled keys.
 func (s *Server) topMThrough(rm resolvedModel, M int) []Prediction {
 	if !rm.ephemeral {
-		return s.cache.entry(rm.key, rm.model).topMCached(M)
+		return s.cache.entry(rm.key, rm.model, rm.gen).topMCached(M)
 	}
 	top := rm.model.TopM(M)
 	out := make([]Prediction, len(top))

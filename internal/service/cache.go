@@ -2,6 +2,7 @@ package service
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/tuning"
@@ -26,8 +27,20 @@ import (
 // incremental sweep proves the old answer still holds (zero forward
 // passes) or uses it only as an exact-rescored seed; the returned set is
 // always identical to a cold sweep of the current model.
+//
+// Fills race invalidations: a reader may fetch a model from the
+// registry just before a swap replaces it and reach entry or bound just
+// after the swap's invalidate. Every invalidation bumps gen, and a fill
+// carries the generation its reader observed before the registry
+// lookup; a fill whose generation is stale is served but not stored, so
+// an invalidated slot is never repopulated with a replaced model (which
+// would pin it, and on the mapped path its arena, until the key's next
+// request).
 type serveCache struct {
 	m *cacheMetrics // nil-safe: a bare cache runs unmetered
+
+	// gen counts invalidations; it is written under mu.
+	gen atomic.Uint64
 
 	mu      sync.Mutex
 	entries map[ModelKey]*serveEntry
@@ -85,11 +98,17 @@ func newServeCache(m *cacheMetrics) *serveCache {
 	}
 }
 
+// generation returns the cache's invalidation count. Readers take it
+// before the registry lookup whose result they pass to entry or bound.
+func (c *serveCache) generation() uint64 { return c.gen.Load() }
+
 // bound returns parent bound to the given device vector, memoised under
 // key. The memo is keyed by the *resolved* key (benchmark@requesting
 // device), and revalidated by parent pointer: a retrained or reloaded
-// portable model invalidates every stale binding on first use.
-func (c *serveCache) bound(key ModelKey, parent *core.Model, device []float64) (*core.Model, error) {
+// portable model invalidates every stale binding on first use. gen is
+// the generation observed before parent was fetched; a stale one binds
+// without memoising.
+func (c *serveCache) bound(key ModelKey, parent *core.Model, device []float64, gen uint64) (*core.Model, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if r, ok := c.binds[key]; ok && r.parent == parent {
@@ -101,15 +120,19 @@ func (c *serveCache) bound(key ModelKey, parent *core.Model, device []float64) (
 	if err != nil {
 		return nil, err
 	}
-	c.binds[key] = bindRec{parent: parent, bound: bound}
+	if gen == c.gen.Load() {
+		c.binds[key] = bindRec{parent: parent, bound: bound}
+	}
 	return bound, nil
 }
 
 // entry returns the cache slot for key's current model, building a fresh
 // one when none exists or the model pointer changed (reload, retrain,
 // re-bind). A fresh slot snapshots the retained top-M results for the
-// key, so its first sweeps start warm.
-func (c *serveCache) entry(key ModelKey, m *core.Model) *serveEntry {
+// key, so its first sweeps start warm. gen is the generation observed
+// before m was fetched; a stale one gets a slot that is used for this
+// request only.
+func (c *serveCache) entry(key ModelKey, m *core.Model, gen uint64) *serveEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -122,7 +145,9 @@ func (c *serveCache) entry(key ModelKey, m *core.Model) *serveEntry {
 		e = &serveEntry{model: m, cache: c, key: key,
 			m: c.m, topM: make(map[int]*topMRec), prev: prev}
 		e.scratches.New = func() any { return m.NewBatchScratch() }
-		c.entries[key] = e
+		if gen == c.gen.Load() {
+			c.entries[key] = e
+		}
 	} else {
 		c.m.entry(true)
 	}
@@ -157,6 +182,7 @@ func (c *serveCache) invalidate(key ModelKey) {
 	defer c.mu.Unlock()
 	delete(c.entries, key)
 	delete(c.binds, key)
+	c.gen.Add(1)
 	c.m.invalidated()
 }
 
@@ -167,6 +193,7 @@ func (c *serveCache) invalidateAll() {
 	defer c.mu.Unlock()
 	c.entries = make(map[ModelKey]*serveEntry)
 	c.binds = make(map[ModelKey]bindRec)
+	c.gen.Add(1)
 	c.m.invalidated()
 }
 

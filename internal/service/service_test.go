@@ -852,3 +852,58 @@ func TestTopMLimitAndCache(t *testing.T) {
 		}
 	}
 }
+
+// TestServeCacheDropsStaleFill pins the fill-versus-invalidate race
+// deterministically: a reader that fetched a model before a swap's
+// invalidate must not repopulate the slot (or the portable binding)
+// with it afterwards, and a fill at the current generation is stored.
+func TestServeCacheDropsStaleFill(t *testing.T) {
+	c := newServeCache(nil)
+	key := ModelKey{Benchmark: "convolution", Device: devsim.IntelI7}
+	old := trainTinyModel(t, 31)
+
+	gen := c.generation()
+	c.invalidate(key) // the swap lands between lookup and fill
+	if e := c.entry(key, old, gen); e.model != old {
+		t.Fatal("stale fill did not serve the model it was given")
+	}
+	if _, ok := c.entries[key]; ok {
+		t.Fatal("stale fill was stored after the invalidation")
+	}
+
+	gen = c.generation()
+	e := c.entry(key, old, gen)
+	if c.entries[key] != e || c.entry(key, old, gen) != e {
+		t.Fatal("fill at the current generation was not stored and reused")
+	}
+
+	// The same race on the portable path: a binding of a parent fetched
+	// before the invalidation must not be memoised.
+	b := bench.MustLookup("convolution")
+	vec, err := catalogVector(devsim.IntelI7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var samples []core.Sample
+	for i, cfg := range b.Space().Sample(rand.New(rand.NewSource(32)), 40) {
+		samples = append(samples, core.Sample{Config: cfg, Seconds: 1 + float64(i%7), Device: vec})
+	}
+	mc := core.DefaultModelConfig(32)
+	mc.Ensemble.K = 1
+	mc.Ensemble.Hidden = 4
+	mc.Ensemble.Train.Epochs = 5
+	mc.DeviceFeatures = true
+	pm, err := core.TrainModel(b.Space(), samples, nil, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkey := ModelKey{Benchmark: "convolution", Device: devsim.IntelI7}
+	gen = c.generation()
+	c.invalidateAll()
+	if _, err := c.bound(pkey, pm, vec, gen); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.binds[pkey]; ok {
+		t.Fatal("stale bind was memoised after the invalidation")
+	}
+}
