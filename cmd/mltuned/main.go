@@ -31,10 +31,10 @@
 // descriptor (catalog name or inline descriptor JSON).
 //
 // Every prediction is served by the exact float64 scorer. Top-M sweeps
-// screen the space first — with int16 tables where their error proof
-// covers the model and binding, with a float interval pass otherwise
-// (see the README's Top-M screening section) — and re-score every
-// survivor exactly, so answers never depend on the screen.
+// screen the space with int16 tables where their error proof covers the
+// model and binding, and re-score every survivor exactly; otherwise
+// they score every configuration exactly (see the README's Top-M
+// screening section). Answers never depend on the screen.
 //
 // The daemon splits into planes for fleet deployments. -role train (or
 // the default all) is the train plane: it owns the writable registry.
@@ -102,6 +102,15 @@ import (
 
 	"repro/internal/service"
 	"repro/internal/storage"
+)
+
+// Connection limits for the HTTP listener, so a slow or idle client
+// cannot pin a connection (and its goroutine) indefinitely. Request
+// bodies are bounded per handler; these bound the header read and the
+// keep-alive wait between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
 )
 
 func main() {
@@ -193,7 +202,12 @@ func main() {
 	log.Printf("mltuned: serving on %s as role %s (registry %s [%s], %d models)",
 		*addr, srv.Role(), regName, reg.Backend().Name(), reg.Len())
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

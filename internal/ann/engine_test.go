@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// engineCase is one ensemble the conformance suite runs both screens
-// over. Weight scales are stretched well past the trained-init range so
-// the per-layer scale selection is exercised, not just the happy path.
+// engineCase is one ensemble the conformance suite runs both
+// implementations over. Weight scales are stretched well past the
+// trained-init range so the per-layer scale selection is exercised, not
+// just the happy path.
 type engineCase struct {
 	name string
 	e    *Ensemble
@@ -88,9 +89,11 @@ type screen struct {
 	bounds  func(xs []float64, count int, lb, ub []float64)
 }
 
-// screens builds both screens over e: "float64", the exact reference
-// with the interval-arithmetic bounds pass (bounds.go), and "int16", the
-// quantised tables (quant.go).
+// screens builds the bounds contract's two implementations over e:
+// "int16", the quantised tables (quant.go), the one screen the top-M
+// sweep prunes with; and "float64", the exact scorer the sweep falls
+// back to when the int16 proof does not cover a binding — it prunes
+// nothing, so its bracket is the exact prediction itself, at zero width.
 func screens(tb testing.TB, e *Ensemble, capacity int) []screen {
 	ps := e.NewBatchScratch(capacity)
 	q, err := QuantizeEnsemble(e)
@@ -105,7 +108,8 @@ func screens(tb testing.TB, e *Ensemble, capacity int) []screen {
 				e.PredictBatch(xs, count, ps, dst)
 			},
 			bounds: func(xs []float64, count int, lb, ub []float64) {
-				e.PredictBatchBounds(xs, count, ps, lb, ub)
+				e.PredictBatch(xs, count, ps, lb)
+				copy(ub[:count], lb[:count])
 			},
 		},
 		{
@@ -121,9 +125,10 @@ func screens(tb testing.TB, e *Ensemble, capacity int) []screen {
 	}
 }
 
-// TestEngineConformance is the shared suite both top-M screens must pass
-// (see CONTRIBUTING): predictions within the advertised error bound of
-// the reference, and bounds that bracket the reference.
+// TestEngineConformance is the shared suite the top-M screen and the
+// exact fallback must pass (see CONTRIBUTING): predictions within the
+// advertised error bound of the reference, and bounds that bracket the
+// reference.
 func TestEngineConformance(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		refScratch := ec.e.NewBatchScratch(64)
@@ -266,8 +271,8 @@ func TestQuantizeQ14(t *testing.T) {
 }
 
 // TestEngineZeroAlloc pins the steady-state allocation contract: with a
-// reused scratch, both screens' predict and bounds paths allocate
-// nothing per batch.
+// reused scratch, the screen's and the exact fallback's predict and
+// bounds paths allocate nothing per batch.
 func TestEngineZeroAlloc(t *testing.T) {
 	ecs := engineCases(t)
 	e := ecs[1].e // paper-shape
@@ -279,9 +284,6 @@ func TestEngineZeroAlloc(t *testing.T) {
 	lb := make([]float64, count)
 	ub := make([]float64, count)
 	for _, sc := range screens(t, e, count) {
-		// Warm once: the float pass's bounds buffers are lazy.
-		sc.predict(xs, count, dst)
-		sc.bounds(xs, count, lb, ub)
 		if n := testing.AllocsPerRun(50, func() {
 			sc.predict(xs, count, dst)
 		}); n != 0 {

@@ -36,12 +36,12 @@ import (
 //
 // This is only sound because the accumulators are integers: integer
 // addition is exact and order-independent, so the incremental, fused
-// state is bit-identical to a from-scratch forward pass — Bounds
+// state is bit-identical to a from-scratch forward pass — BoundsCeil
 // returns exactly what PredictBatchBoundsQ14 would for the same index's
 // EncodeIndexQ14 features (pinned by TestSweeperMatchesBatch). A float
 // pass cannot sweep incrementally without invalidating its error
-// argument, which is why the int16 screen wins the full-space sweep:
-// the per-config cost drops to the sigmoid lookups and the output dot.
+// argument, which is why the screen is integer: the per-config cost
+// drops to the sigmoid lookups and the output dot.
 //
 // A sweeper is single-goroutine state over an immutable
 // QuantizedEnsemble; each sweep worker builds its own.
@@ -62,7 +62,7 @@ type QuantSweeper struct {
 	// hidden layer (the paper topology never needs them).
 	actA, actB []int16
 	size       int64
-	// cur is the next index Bounds will produce when continuing
+	// cur is the next index BoundsCeil will produce when continuing
 	// sequentially: digits describe cur and the prefix rows match its
 	// leading digits. -1 before the first seek; size once exhausted.
 	cur int64
@@ -303,51 +303,6 @@ func lutCell(acc int64, shift uint) int {
 	return cell
 }
 
-// Bounds writes conservative raw-output brackets for the n sequential
-// configurations starting at index start: lb[i] ≤ reference(start+i) ≤
-// ub[i], exactly as PredictBatchBoundsQ14 would bound them. Sequential
-// calls continue the incremental walk tile by tile; a non-contiguous
-// start pays one full re-seek (P−1 vector adds) and continues from
-// there. Panics if the range leaves the space, matching EncodeIndex.
-func (s *QuantSweeper) Bounds(start int64, n int, lb, ub []float64) {
-	if start < 0 || n < 0 || start+int64(n) > s.size {
-		panic("ann: sweeper Bounds range outside the space")
-	}
-	if n == 0 {
-		return
-	}
-	if start != s.cur {
-		s.seek(start)
-	}
-	bound := s.q.bound
-	P := len(s.digits)
-	lastAr := int(s.arity[P-1])
-	lastContrib := s.contrib[P-1]
-	i := 0
-	for i < n {
-		parent := s.parentRow()
-		v := s.digits[P-1]
-		run := lastAr - v
-		if run > n-i {
-			run = n - i
-		}
-		for r := 0; r < run; r++ {
-			val := s.finish(parent, lastContrib[(v+r)*s.H:(v+r+1)*s.H])
-			lb[i] = val - bound
-			ub[i] = val + bound
-			i++
-		}
-		s.cur += int64(run)
-		if v+run == lastAr && s.cur < s.size {
-			s.carry()
-		} else {
-			// Tile interrupted mid-run by the caller's block boundary (or
-			// the space is exhausted): remember where to resume.
-			s.digits[P-1] = v + run
-		}
-	}
-}
-
 // initPrune prepares BoundsCeil's subtree-skip tables: for every suffix
 // of positions p..P-1, the per-slot contribution extreme that minimises
 // the finished output when substituted for the real digits. Pruning is
@@ -359,7 +314,7 @@ func (s *QuantSweeper) Bounds(start int64, n int, lb, ub []float64) {
 // (output weight times output scale) is non-negative; the minimising
 // relaxation takes the minimum contribution there and the maximum
 // otherwise. Deeper members compose non-monotonically: pickTail stays
-// nil and BoundsCeil degrades to Bounds.
+// nil and BoundsCeil finishes every entry.
 func (s *QuantSweeper) initPrune() {
 	s.pruneInit = true
 	wantMin := make([]bool, s.H)
@@ -407,31 +362,35 @@ func (s *QuantSweeper) initPrune() {
 	s.pickTail = pickTail
 }
 
-// BoundsCeil is Bounds with a pruning ceiling: entries whose lower bound
-// provably exceeds ceil may be reported as +Inf in both lb and ub
-// instead of being finished. It walks the same odometer, but whenever the
-// walk is aligned to a whole subtree (a zero suffix of digits) that fits
-// the remaining window, it first finishes the subtree's suffix relaxation
-// (initPrune): finish is monotone per slot, so that single value lower-
-// bounds every configuration in the subtree, and when even it sits above
-// the ceiling the whole subtree is skipped without touching its tiles.
-// Failed checks descend one position and retry, down to the plain tile
-// walk. A +Inf ceiling — or a topology initPrune refuses — degrades to
-// Bounds exactly.
+// BoundsCeil writes conservative raw-output brackets for the n
+// sequential configurations starting at index start: lb[i] ≤
+// reference(start+i) ≤ ub[i], exactly as PredictBatchBoundsQ14 would
+// bound them — except that entries whose lower bound provably exceeds
+// ceil may be reported as +Inf in both lb and ub instead of being
+// finished. Sequential calls continue the incremental walk tile by tile;
+// a non-contiguous start pays one full re-seek (P−1 vector adds) and
+// continues from there. Panics if the range leaves the space, matching
+// EncodeIndex.
+//
+// Whenever the walk is aligned to a whole subtree (a zero suffix of
+// digits) that fits the remaining window, it first finishes the
+// subtree's suffix relaxation (initPrune): finish is monotone per slot,
+// so that single value lower-bounds every configuration in the subtree,
+// and when even it sits above the ceiling the whole subtree is skipped
+// without touching its tiles. Failed checks descend one position and
+// retry, down to the plain tile walk. A +Inf ceiling — or a topology
+// initPrune refuses — skips the subtree check and finishes every entry.
 func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil float64) {
-	if !s.pruneInit {
-		s.initPrune()
-	}
-	if s.pickTail == nil || math.IsInf(ceil, 1) {
-		s.Bounds(start, n, lb, ub)
-		return
-	}
 	if start < 0 || n < 0 || start+int64(n) > s.size {
-		panic("ann: sweeper Bounds range outside the space")
+		panic("ann: sweeper BoundsCeil range outside the space")
 	}
 	if n == 0 {
 		return
 	}
+	if !s.pruneInit {
+		s.initPrune()
+	}
+	prune := s.pickTail != nil && !math.IsInf(ceil, 1)
 	if start != s.cur {
 		s.seek(start)
 	}
@@ -441,7 +400,7 @@ func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil flo
 	lastContrib := s.contrib[P-1]
 	i := 0
 	for i < n {
-		if s.digits[P-1] == 0 {
+		if prune && s.digits[P-1] == 0 {
 			// Aligned to at least one whole tile: start at the widest
 			// zero-suffix subtree that fits the window and descend until one
 			// proves itself fully above the ceiling, or none does.
@@ -492,6 +451,8 @@ func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil flo
 		if v+run == lastAr && s.cur < s.size {
 			s.carry()
 		} else {
+			// Tile interrupted mid-run by the caller's block boundary (or
+			// the space is exhausted): remember where to resume.
 			s.digits[P-1] = v + run
 		}
 	}

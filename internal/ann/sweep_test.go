@@ -105,7 +105,7 @@ func TestSweeperMatchesBatch(t *testing.T) {
 				if rest := sp.size - start; int64(n) > rest {
 					n = int(rest)
 				}
-				sw.Bounds(start, n, lb, ub)
+				sw.BoundsCeil(start, n, lb, ub, math.Inf(1))
 				for i := 0; i < n; i++ {
 					idx := start + int64(i)
 					qxs = sp.encodeIndex(idx, qxs[:0])
@@ -135,7 +135,7 @@ func TestSweeperSeek(t *testing.T) {
 			}
 			wantLb := make([]float64, sp.size)
 			wantUb := make([]float64, sp.size)
-			inOrder.Bounds(0, int(sp.size), wantLb, wantUb)
+			inOrder.BoundsCeil(0, int(sp.size), wantLb, wantUb, math.Inf(1))
 
 			jumping, err := q.NewSweeper(sp.levels, sp.tail)
 			if err != nil {
@@ -149,7 +149,7 @@ func TestSweeperSeek(t *testing.T) {
 				if rest := sp.size - start; int64(n) > rest {
 					n = int(rest)
 				}
-				jumping.Bounds(start, n, lb, ub)
+				jumping.BoundsCeil(start, n, lb, ub, math.Inf(1))
 				for i := 0; i < n; i++ {
 					if lb[i] != wantLb[start+int64(i)] || ub[i] != wantUb[start+int64(i)] {
 						t.Fatalf("trial %d index %d: seeked [%g, %g] != in-order [%g, %g]",
@@ -162,9 +162,11 @@ func TestSweeperSeek(t *testing.T) {
 }
 
 // TestSweeperBoundsCeil pins the pruning walk's contract against the
-// plain one: over every conformance topology and a spread of ceilings, every entry BoundsCeil reports finitely is bit-identical to
-// Bounds, every +Inf entry's true lower bound exceeds the ceiling, and a
-// +Inf ceiling reproduces Bounds exactly. Blocks are uneven so subtree
+// unpruned one (a +Inf ceiling, pinned to the batch pass by
+// TestSweeperMatchesBatch): over every conformance topology and a spread
+// of ceilings, every entry BoundsCeil reports finitely is bit-identical
+// to the unpruned walk, every +Inf entry's true lower bound exceeds the
+// ceiling, and a +Inf ceiling prunes nothing. Blocks are uneven so subtree
 // skips land on every alignment, and the same sweeper object keeps
 // walking across blocks — the odometer state after a skip must stay
 // consistent with the indices it reports next.
@@ -180,7 +182,7 @@ func TestSweeperBoundsCeil(t *testing.T) {
 			}
 			wantLb := make([]float64, sp.size)
 			wantUb := make([]float64, sp.size)
-			ref.Bounds(0, int(sp.size), wantLb, wantUb)
+			ref.BoundsCeil(0, int(sp.size), wantLb, wantUb, math.Inf(1))
 
 			// Ceilings from deep inside the lb distribution to past its
 			// top, plus both infinities: every pruning regime from
@@ -219,7 +221,7 @@ func TestSweeperBoundsCeil(t *testing.T) {
 							continue
 						}
 						if lb[i] != wantLb[idx] || ub[i] != wantUb[idx] {
-							t.Fatalf("ceil %g index %d: [%g, %g] != Bounds [%g, %g]",
+							t.Fatalf("ceil %g index %d: [%g, %g] != unpruned [%g, %g]",
 								ceil, idx, lb[i], ub[i], wantLb[idx], wantUb[idx])
 						}
 					}
@@ -232,7 +234,7 @@ func TestSweeperBoundsCeil(t *testing.T) {
 	}
 }
 
-// TestSweeperZeroAlloc pins that a sweeping Bounds pass allocates
+// TestSweeperZeroAlloc pins that a sweeping BoundsCeil pass allocates
 // nothing: the sweeper exists to make full-space screening cheap, and a
 // per-block allocation would show up a hundred thousand times per sweep.
 func TestSweeperZeroAlloc(t *testing.T) {
@@ -251,16 +253,16 @@ func TestSweeperZeroAlloc(t *testing.T) {
 		lb := make([]float64, n)
 		ub := make([]float64, n)
 		if allocs := testing.AllocsPerRun(20, func() {
-			sw.Bounds(0, n, lb, ub)
+			sw.BoundsCeil(0, n, lb, ub, math.Inf(1))
 			if rest := sp.size - int64(n); rest > 0 {
 				m := n
 				if int64(m) > rest {
 					m = int(rest)
 				}
-				sw.Bounds(int64(n), m, lb, ub)
+				sw.BoundsCeil(int64(n), m, lb, ub, math.Inf(1))
 			}
 		}); allocs != 0 {
-			t.Errorf("%s: Bounds allocated %.1f times per sweep pass", ec.name, allocs)
+			t.Errorf("%s: BoundsCeil allocated %.1f times per sweep pass", ec.name, allocs)
 		}
 	}
 }

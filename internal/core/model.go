@@ -76,8 +76,8 @@ type Model struct {
 	// q16 is the int16 screening tables of the ensemble, built once per
 	// model — quantised at train or v1–v3 load, aliased out of the v4
 	// arena — and shared by every WithDevice view. nil when the quantiser
-	// refuses the weights; top-M then screens with the float interval
-	// pass (see newScreen).
+	// refuses the weights; top-M then scores every configuration exactly
+	// (see newScreen).
 	q16 *ann.QuantizedEnsemble
 	// arena pins the memory mapping backing a zero-copy loaded model
 	// (weights and int16 tables alias it); nil for heap-owned models.
@@ -319,68 +319,34 @@ func (m *Model) predictEncodedBlock(count int, s *BatchScratch, dst []float64) [
 	return dst
 }
 
-// screen is one sweep worker's private top-M screen: conservative
-// raw-output brackets of the exact prediction over sequential index
-// ranges. The model picks it from its own inputs (newScreen); no option
-// selects it, and both choices bracket the same exact scores, so the
-// choice changes how much of the space pays an exact score, never the
-// result.
-type screen struct {
-	m *Model
-	// sweep is the int16 incremental sweeper; nil selects the float
-	// interval pass over exact's buffers.
-	sweep *ann.QuantSweeper
-	exact *BatchScratch
-}
-
-// newScreen builds a worker's screen. The int16 tables screen when the
-// model has them and their error proof covers the binding: every
-// feature must lie in [ann.QuantInputLo, ann.QuantInputHi]. Parameter
-// features always do (they are normalised to [0,1]); a bound device
-// tail can fall outside — a client descriptor with a clock above 10 GHz
-// does — and then, like a model the quantiser refused, it screens with
-// the float interval pass (ann.Ensemble.PredictBatchBounds), which holds
-// for any input. exact is the worker's exact-scoring scratch; the float
-// pass borrows its buffers between exact blocks.
-func (m *Model) newScreen(exact *BatchScratch) *screen {
-	sc := &screen{m: m, exact: exact}
+// newScreen builds one sweep worker's top-M screen: an int16
+// incremental sweeper that writes conservative raw-output brackets of
+// the exact prediction over sequential index ranges. The model picks it
+// from its own inputs; no option selects it. The int16 tables screen
+// when the model has them and their error proof covers the binding:
+// every feature must lie in [ann.QuantInputLo, ann.QuantInputHi].
+// Parameter features always do (they are normalised to [0,1]); a bound
+// device tail can fall outside — a client descriptor with a clock above
+// 10 GHz does. It returns nil then, and when the quantiser refused the
+// weights: the sweep prunes nothing and scores every configuration
+// exactly.
+func (m *Model) newScreen() *ann.QuantSweeper {
 	if m.q16 == nil {
-		return sc
+		return nil
 	}
 	for _, v := range m.tail {
 		if !(v >= ann.QuantInputLo && v <= ann.QuantInputHi) {
-			return sc
+			return nil
 		}
 	}
 	qtail := m.schema.QuantizeTailQ14(m.tail, make([]int16, 0, m.schema.TailDim()))
 	// A construction error means the tables do not match this model's
-	// feature layout; the float pass below stays correct either way.
-	if sw, err := m.q16.NewSweeper(m.schema.Q14Levels(), qtail); err == nil {
-		sc.sweep = sw
+	// feature layout; the exact sweep stays correct either way.
+	sw, err := m.q16.NewSweeper(m.schema.Q14Levels(), qtail)
+	if err != nil {
+		return nil
 	}
-	return sc
-}
-
-// bounds writes conservative raw-output brackets of the exact
-// prediction for the n sequential indices starting at start into lb, ub.
-// The int16 sweeper updates the first layer's pre-activations in place
-// as the index odometer turns, so the per-config cost collapses to the
-// sigmoid lookups and the output dot, and it honours the pruning
-// ceiling: entries (or whole subtrees) it proves above ceil come back as
-// +Inf instead of being finished. The float pass ignores ceil, which is
-// always sound (it only bounds tighter than required). n must be at most
-// the exact scratch's block.
-func (sc *screen) bounds(start int64, n int, lb, ub []float64, ceil float64) {
-	if sc.sweep != nil {
-		sc.sweep.BoundsCeil(start, n, lb[:n], ub[:n], ceil)
-		return
-	}
-	m, s := sc.m, sc.exact
-	s.xs = s.xs[:0]
-	for idx := start; idx < start+int64(n); idx++ {
-		s.xs = m.schema.EncodeIndex(idx, m.tail, s.xs)
-	}
-	m.ensemble.PredictBatchBounds(s.xs, n, s.ens, lb[:n], ub[:n])
+	return sw
 }
 
 // Predicted pairs a configuration index with its predicted time.
@@ -404,28 +370,30 @@ func (p Predicted) less(q Predicted) bool {
 // execution time for all possible configurations" step — and returns the
 // M configurations with the lowest predicted times, best first (ties
 // broken towards the lower index). Each worker screens its partition in
-// blocks (see newScreen for which screen) and feeds a bounded top-heap;
-// only configurations whose conservative lower bound could still beat
-// the heap's worst entry pay the exact forward pass. The heap never
-// holds a screened score — every value that ranks configurations is
-// exact — so the returned set and order are those of an unscreened
-// exhaustive sweep under either screen and every worker count: pruning
-// never changes emitted values (a pruned configuration provably loses
-// to M already-seen ones), block predictions are bit-identical to the
-// scalar path, and the (Seconds, Index) order is total.
+// blocks (see newScreen for when) and feeds a bounded top-heap; only
+// configurations whose conservative lower bound could still beat the
+// heap's worst entry pay the exact forward pass, and without a screen
+// every configuration does. The heap never holds a screened score —
+// every value that ranks configurations is exact — so the returned set
+// and order are those of an unscreened exhaustive sweep with or without
+// the screen and for every worker count: pruning never changes emitted
+// values (a pruned configuration provably loses to M already-seen ones),
+// block predictions are bit-identical to the scalar path, and the
+// (Seconds, Index) order is total.
 func (m *Model) TopM(M int) []Predicted {
 	top, _ := m.topMSweep(M, runtime.GOMAXPROCS(0), nil)
 	return top
 }
 
-// predictBoundMargin widens the bounds pass's lower bound before it is
-// compared against the heap: the ann bound tables are only valid up to
-// ulp-level activation rounding (see internal/ann/bounds.go), so the
-// margin — many orders above any accumulated ulp error, many below any
-// meaningful time difference — keeps pruning strictly conservative.
+// predictBoundMargin widens the screen's lower bound before it is
+// compared against the heap, and the ceiling handed to the sweeper's
+// subtree skip: the margin — many orders above any accumulated ulp
+// error, many below any meaningful time difference — keeps pruning
+// strictly conservative across the float steps between the int16
+// bracket and the admission test.
 const predictBoundMargin = 1e-9
 
-// canPrune reports whether the bound pass's ordering argument holds:
+// canPrune reports whether the screen's ordering argument holds:
 // finish must be monotone, which needs a positive target-scale. Trained
 // and persisted models always qualify (FitTargetScaler returns a
 // positive Std); this guards hand-built models in tests and experiments.
@@ -533,13 +501,13 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 				hi = size
 			}
 			exact := m.NewBatchScratch()
-			screen := m.newScreen(exact)
 			idxs := make([]int64, 0, exact.block)
 			preds := make([]float64, 0, exact.block)
 			lb := make([]float64, exact.block)
 			ub := make([]float64, exact.block)
 			survivors := make([]int64, 0, exact.block)
-			prune := m.canPrune()
+			sweep := m.newScreen()
+			prune := sweep != nil && m.canPrune()
 			var scored int64
 			best := newTopHeap(M)
 			for _, p := range seeds {
@@ -574,7 +542,7 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 					// ceil, the test needs lb − margin > rawWorst to reject,
 					// and the margin towers over every rounding step between
 					// the two expressions.
-					screen.bounds(blockLo, n, lb, ub, rawWorst+2*predictBoundMargin)
+					sweep.BoundsCeil(blockLo, n, lb[:n], ub[:n], rawWorst+2*predictBoundMargin)
 					survivors = survivors[:0]
 					for k := 0; k < n; k++ {
 						idx := blockLo + int64(k)

@@ -145,7 +145,7 @@ func (m *Model) Save(w io.Writer) error {
 	}
 	// The int16 tables ride along when the ensemble quantises; a refusal
 	// (diverged magnitudes, uncovered topologies) writes a v4 file
-	// without them, which loads fine and screens with the float pass.
+	// without them, which loads fine and sweeps top-M exactly.
 	return writeBinaryPayloadV4(w, m.scaler, m.ensemble.State(), m.q16)
 }
 

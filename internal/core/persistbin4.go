@@ -39,8 +39,8 @@ import (
 //	"Q16T"  int16 screening tables (ann.QuantizedEnsemble.AppendTables)
 //
 // QLUT/Q16T are present only when the ensemble quantises (diverged
-// weight magnitudes refuse); the loaded model then screens top-M with
-// the float interval pass. Files written before the int8 engine was
+// weight magnitudes refuse); the loaded model then scores every
+// configuration of a top-M sweep exactly. Files written before the int8 engine was
 // retired also carry a "QNT8" section, which the reader skips like any
 // unknown tag. Writing is deterministic byte for byte. Reading validates every length before allocating and returns
 // errors — never panics — on truncation or corruption. On platforms or

@@ -22,7 +22,7 @@ var (
 	paperConvErr   error
 )
 
-func paperConvolutionModel(t *testing.T) *Model {
+func paperConvolutionModel(t testing.TB) *Model {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("paper-scale convolution model: skipped in -short")
@@ -58,7 +58,7 @@ func paperConvolutionModel(t *testing.T) *Model {
 // whose 40 GHz clock puts the clock feature (clock/5 GHz = 8) outside
 // the int16 tables' input domain. Descriptor.Validate accepts it, so a
 // client can send it.
-func portableOutOfDomainModel(t *testing.T) *Model {
+func portableOutOfDomainModel(t testing.TB) *Model {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("portable convolution model: skipped in -short")
@@ -105,7 +105,7 @@ func portableOutOfDomainModel(t *testing.T) *Model {
 
 // refusedTestModel is trainedTestModel with one first-layer weight set
 // to 4e4, past the int16 range: the quantiser refuses the ensemble.
-func refusedTestModel(t *testing.T) *Model {
+func refusedTestModel(t testing.TB) *Model {
 	t.Helper()
 	m := trainedTestModel(t)
 	st := m.ensemble.State()
@@ -124,32 +124,34 @@ func refusedTestModel(t *testing.T) *Model {
 }
 
 // TestTopMEngineSetIdentity pins the screen-selection contract: each
-// model class takes the screen its own inputs allow — no option picks
-// it — and every one returns exactly the set, order and seconds of an
-// unscreened exhaustive exact sweep, for every worker count. Rows are
-// named after the screen they must take:
+// model class takes the int16 screen only where its own inputs allow it
+// — no option picks it — and every one returns exactly the set, order
+// and seconds of an unscreened exhaustive exact sweep, for every worker
+// count. Rows are named after the path they must take:
 //
 //   - "int16": a freshly trained model takes the int16 screen, which
 //     must prune — fewer than 5% of the space pays an exact score;
-//   - "float64": a portable model bound to an out-of-domain descriptor
-//     takes the float interval pass, because the int16 error proof does
-//     not cover its features;
-//   - "float64-refused": a model the quantiser refuses takes the float
-//     interval pass.
+//   - "exact-out-of-domain": a portable model bound to an out-of-domain
+//     descriptor takes the exact sweep, because the int16 error proof
+//     does not cover its features;
+//   - "exact-refused": a model the quantiser refuses takes the exact
+//     sweep.
+//
+// The exact rows score every configuration.
 func TestTopMEngineSetIdentity(t *testing.T) {
 	const M = 50
 	for _, tc := range []struct {
 		name  string
-		model func(t *testing.T) *Model
+		model func(t testing.TB) *Model
 		int16 bool
 	}{
 		{"int16", paperConvolutionModel, true},
-		{"float64", portableOutOfDomainModel, false},
-		{"float64-refused", refusedTestModel, false},
+		{"exact-out-of-domain", portableOutOfDomainModel, false},
+		{"exact-refused", refusedTestModel, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.model(t)
-			if got := m.newScreen(m.NewBatchScratch()).sweep != nil; got != tc.int16 {
+			if got := m.newScreen() != nil; got != tc.int16 {
 				t.Fatalf("int16 screen engaged = %v, want %v", got, tc.int16)
 			}
 			want := bruteTopM(m, M)
@@ -161,6 +163,9 @@ func TestTopMEngineSetIdentity(t *testing.T) {
 			if tc.int16 && res.Scored*20 >= size {
 				t.Fatalf("int16 screen scored %d of %d configs (≥ 5%%): it did not prune", res.Scored, size)
 			}
+			if !tc.int16 && res.Scored != size {
+				t.Fatalf("exact sweep scored %d of %d configs, want all", res.Scored, size)
+			}
 			t.Logf("scored %d of %d configs (%.2f%%)", res.Scored, size, 100*float64(res.Scored)/float64(size))
 			for _, workers := range []int{1, 3, 8} {
 				if got := m.topM(M, workers); !samePredicted(got, want) {
@@ -168,6 +173,20 @@ func TestTopMEngineSetIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTopMOutOfDomain measures the exact fallback's cost: one
+// full-space top-M sweep of a portable convolution model bound to a
+// descriptor outside the int16 input domain, so no configuration is
+// pruned and every one pays the exact forward pass.
+func BenchmarkTopMOutOfDomain(b *testing.B) {
+	m := portableOutOfDomainModel(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if top := m.topM(200, 1); len(top) != 200 {
+			b.Fatalf("TopM returned %d configs", len(top))
+		}
 	}
 }
 
@@ -302,7 +321,7 @@ func TestTopMIncrementalInt16Engine(t *testing.T) {
 	const M = 50
 	prev := trainedTestModel(t).TopMIncremental(M, nil)
 	m2 := retrainedTestModel(t)
-	if m2.newScreen(m2.NewBatchScratch()).sweep == nil {
+	if m2.newScreen() == nil {
 		t.Fatal("retrained model does not take the int16 screen")
 	}
 	warm := m2.TopMIncremental(M, prev)

@@ -7,11 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/devsim"
+	"repro/internal/tuning"
 )
 
 // deviceSampleInputs measures n valid convolution configurations on the
@@ -198,6 +201,41 @@ func TestPortableServingEndToEnd(t *testing.T) {
 		"indices": []int64{1, 7, 9}}, http.StatusOK, &batch)
 	if batch.Resolution != "portable" || len(batch.Predictions) != 3 {
 		t.Fatalf("inline-descriptor batch %+v", batch)
+	}
+
+	// A 40 GHz clock passes Descriptor.Validate but puts the clock
+	// feature outside the int16 screen's input domain, so the daemon's
+	// top-M takes the exact sweep. Its answer must be the library's.
+	hot := desc
+	hot.Name = "Hypothetical GPU X 40GHz"
+	hot.ClockGHz = 40
+	hotVec := tuning.DeviceVector(&hot, nil)
+	if !slices.ContainsFunc(hotVec, func(v float64) bool { return v > ann.QuantInputHi }) {
+		t.Fatalf("descriptor features %v stay inside the int16 domain", hotVec)
+	}
+	hotJSON, err := json.Marshal(hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hotTop TopMResponse
+	jget(t, client, ts.URL, "/v1/topm?benchmark=convolution&m=8&descriptor="+url.QueryEscape(string(hotJSON)),
+		http.StatusOK, &hotTop)
+	pm, err := reg.Get(ModelKey{Benchmark: "convolution", Device: PortableDevice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := pm.WithDevice(hotVec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bound.TopM(8)
+	if hotTop.Resolution != "portable" || len(hotTop.Top) != len(want) {
+		t.Fatalf("out-of-domain top-M %+v, want %d entries", hotTop, len(want))
+	}
+	for i, p := range want {
+		if got := hotTop.Top[i]; got.Index != p.Index || got.Seconds != p.Seconds {
+			t.Fatalf("out-of-domain top-M entry %d = %+v, want %+v", i, got, p)
+		}
 	}
 
 	// A malformed descriptor is a 400 naming the problem, not a 500.
