@@ -131,6 +131,7 @@ func TestReportValidate(t *testing.T) {
 			r.Endpoints["predict_single"] = ep
 		},
 		"missing diff": func(r *Report) { r.Daemon.MetricsDiff = nil },
+		"int16 engine": func(r *Report) { r.Run.Engine = "int16" },
 	} {
 		r := validReport()
 		breakIt(r)

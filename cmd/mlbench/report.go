@@ -97,10 +97,11 @@ func (r *Report) Validate() error {
 		return fmt.Errorf("run has non-positive workers/duration/space_size: %+v", r.Run)
 	}
 	// Engine and WeightFormat are additive fields; when present they must
-	// still be plausible (a known engine name, a positive persistence
-	// version), so a mangled report cannot hide behind "optional".
-	if e := r.Run.Engine; e != "" && e != "float64" && e != "int16" && e != "int8" {
-		return fmt.Errorf("run.engine %q is not a known engine (float64, int16, int8)", e)
+	// still be plausible (the one engine a daemon reports, a positive
+	// persistence version), so a mangled report cannot hide behind
+	// "optional".
+	if e := r.Run.Engine; e != "" && e != "float64" {
+		return fmt.Errorf("run.engine %q is not the daemon's engine (float64)", e)
 	}
 	if r.Run.WeightFormat < 0 {
 		return fmt.Errorf("run.weight_format %d is negative", r.Run.WeightFormat)

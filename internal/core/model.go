@@ -73,14 +73,14 @@ type Model struct {
 	// vector WithDevice fixed); nil both for parameter-only models and
 	// for an unbound portable model.
 	tail []float64
-	// q16 is the int16 screening tables of the ensemble, built once per
-	// model — quantised at train or v1–v3 load, aliased out of the v4
-	// arena — and shared by every WithDevice view. nil when the quantiser
-	// refuses the weights; top-M then scores every configuration exactly
-	// (see newScreen).
+	// q16 is the int16 screening tables of the ensemble, quantised from
+	// the weights once per model — at train or at load, whatever the
+	// file version — and shared by every WithDevice view. nil when the
+	// quantiser refuses the weights; top-M then scores every
+	// configuration exactly (see newScreen).
 	q16 *ann.QuantizedEnsemble
 	// arena pins the memory mapping backing a zero-copy loaded model
-	// (weights and int16 tables alias it); nil for heap-owned models.
+	// (the float64 weights alias it); nil for heap-owned models.
 	arena *mmapx.Data
 	// persistVersion records the persistence version the model was loaded
 	// from; 0 for freshly trained models (see WeightFormat).

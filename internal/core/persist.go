@@ -35,9 +35,11 @@ import (
 //	version 4 — same header fields as v3, space-padded to a 64-byte
 //	  boundary, and the body is the zero-copy weight arena of
 //	  internal/core/persistbin4.go: 64-byte-aligned sections carrying
-//	  the float64 weights AND the int16 screening tables, laid out so
-//	  LoadModelFile serves straight out of a read-only memory mapping —
-//	  install cost is O(1) in model size, with no quantisation pass.
+//	  the float64 weights, laid out so LoadModelFile aliases them
+//	  straight out of a read-only memory mapping instead of copying.
+//
+// No version persists the int16 top-M screening tables: every load
+// quantises the ensemble exactly as training does (newLoadedModel).
 //
 // Save always writes version 4. Every v1–v3 artifact still loads
 // through the version-keyed decoder table. LoadModel returns
@@ -143,10 +145,7 @@ func (m *Model) Save(w io.Writer) error {
 	if _, err := w.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("core: writing model header: %w", err)
 	}
-	// The int16 tables ride along when the ensemble quantises; a refusal
-	// (diverged magnitudes, uncovered topologies) writes a v4 file
-	// without them, which loads fine and sweeps top-M exactly.
-	return writeBinaryPayloadV4(w, m.scaler, m.ensemble.State(), m.q16)
+	return writeBinaryPayloadV4(w, m.scaler, m.ensemble.State())
 }
 
 // WeightFormat returns the persistence version the model's weights were
@@ -273,6 +272,16 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newLoadedModel(&hdr, space, schema, scaler, ensemble, nil)
+}
+
+// newLoadedModel assembles a Model from a decoded file, whatever its
+// version: it rebuilds the int16 screening tables from the weights with
+// the quantisation pass training runs, and checks the ensemble width
+// against the schema. arena, when non-nil, is the mapping the weights
+// alias, pinned by the model for its lifetime.
+func newLoadedModel(hdr *modelHeader, space *tuning.Space, schema *tuning.FeatureSchema,
+	scaler ann.TargetScaler, ensemble *ann.Ensemble, arena *mmapx.Data) (*Model, error) {
 	m := &Model{
 		space:          space,
 		schema:         schema,
@@ -280,6 +289,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 		scaler:         scaler,
 		logT:           hdr.LogTransform,
 		q16:            quantizeScreen(ensemble),
+		arena:          arena,
 		persistVersion: hdr.Version,
 	}
 	if err := m.checkEnsembleWidth(); err != nil {
@@ -303,33 +313,21 @@ func (m *Model) checkEnsembleWidth() error {
 
 // finishLoadV4 assembles a Model from a decoded v4 arena body.
 func finishLoadV4(hdr *modelHeader, space *tuning.Space, schema *tuning.FeatureSchema, body []byte, arena *mmapx.Data) (*Model, error) {
-	d, err := decodeBinaryPayloadV4(body, hdr.Members, arena)
+	scaler, ensemble, err := decodeBinaryPayloadV4(body, hdr.Members, arena)
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{
-		space:          space,
-		schema:         schema,
-		ensemble:       d.ensemble,
-		scaler:         d.scaler,
-		logT:           hdr.LogTransform,
-		q16:            d.q16,
-		arena:          arena,
-		persistVersion: modelVersionV4,
-	}
-	if err := m.checkEnsembleWidth(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return newLoadedModel(hdr, space, schema, scaler, ensemble, arena)
 }
 
 // LoadModelBytes loads a model from an in-memory file image — the
-// zero-copy install path. For a v4 image the returned model's weights
-// and int16 tables alias data in place (no decode pass, O(1) in model
-// size); arena, when non-nil, is the memory mapping backing data and is
-// pinned by the model for its lifetime. Older versions decode by
-// copying exactly like LoadModel, and arena may then be closed by the
-// caller once LoadModelBytes returns.
+// zero-copy install path. For a v4 image the returned model's float64
+// weights alias data in place (no weight copy; the int16 screening
+// tables are quantised from them, as on every load); arena, when
+// non-nil, is the memory mapping backing data and is pinned by the
+// model for its lifetime. Older versions decode by copying exactly like
+// LoadModel, and arena may then be closed by the caller once
+// LoadModelBytes returns.
 func LoadModelBytes(data []byte, arena *mmapx.Data) (*Model, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
@@ -360,11 +358,12 @@ func LoadModelBytes(data []byte, arena *mmapx.Data) (*Model, error) {
 }
 
 // LoadModelFile loads a model from the named file (see LoadModel),
-// memory-mapping it when the platform allows: a v4 model is then served
-// straight out of the page cache — the mapping stays alive (and the
-// file's disk blocks stay referenced) until the model is
-// garbage-collected. Older versions decode by copying and release the
-// mapping before returning.
+// memory-mapping it when the platform allows: a v4 model's float64
+// weights are then served straight out of the page cache, and its int16
+// screening tables are quantised from them onto the heap. The mapping
+// stays alive (and the file's disk blocks stay referenced) until the
+// model is garbage-collected. Older versions decode by copying and
+// release the mapping before returning.
 func LoadModelFile(path string) (*Model, error) {
 	d, err := mmapx.Open(path)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -51,6 +52,25 @@ func paperConvolutionModel(t testing.TB) *Model {
 		t.Fatal(paperConvErr)
 	}
 	return paperConvModel
+}
+
+// v4LoadedConvolutionModel is paperConvolutionModel taken through
+// SaveFile and the memory-mapped LoadModelFile: its int16 tables are the
+// ones every load rebuilds from the file's weights.
+func v4LoadedConvolutionModel(t testing.TB) *Model {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "conv.mlt")
+	if err := paperConvolutionModel(t).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadModelFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.arena == nil {
+		t.Fatal("v4 LoadModelFile did not retain the arena")
+	}
+	return m
 }
 
 // portableOutOfDomainModel trains a small portable convolution model
@@ -131,6 +151,9 @@ func refusedTestModel(t testing.TB) *Model {
 //
 //   - "int16": a freshly trained model takes the int16 screen, which
 //     must prune — fewer than 5% of the space pays an exact score;
+//   - "v4-loaded": the same model saved and loaded back through the
+//     memory mapping takes the int16 screen its load quantised, under
+//     the same pruning requirement;
 //   - "exact-out-of-domain": a portable model bound to an out-of-domain
 //     descriptor takes the exact sweep, because the int16 error proof
 //     does not cover its features;
@@ -146,6 +169,7 @@ func TestTopMEngineSetIdentity(t *testing.T) {
 		int16 bool
 	}{
 		{"int16", paperConvolutionModel, true},
+		{"v4-loaded", v4LoadedConvolutionModel, true},
 		{"exact-out-of-domain", portableOutOfDomainModel, false},
 		{"exact-refused", refusedTestModel, false},
 	} {

@@ -123,25 +123,3 @@ func Float64s(b []byte) (s []float64, ok bool) {
 	}
 	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8), true
 }
-
-// Int64s reinterprets b as little-endian int64s in place (see Float64s).
-func Int64s(b []byte) (s []int64, ok bool) {
-	if !littleEndian || len(b)%8 != 0 || !aligned(b, 8) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return nil, true
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8), true
-}
-
-// Int16s reinterprets b as little-endian int16s in place (see Float64s).
-func Int16s(b []byte) (s []int16, ok bool) {
-	if !littleEndian || len(b)%2 != 0 || !aligned(b, 2) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return nil, true
-	}
-	return unsafe.Slice((*int16)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/2), true
-}

@@ -36,8 +36,8 @@ type serverMetrics struct {
 	cache      *cacheMetrics
 	// swapDuration observes model swaps end to end: registry persist (or
 	// replication install) through serve-cache invalidation — the
-	// install-to-servable latency the v4 zero-copy arena exists to keep
-	// flat as models grow.
+	// install-to-servable latency, which includes the load's int16
+	// quantisation pass and so grows with the weight count.
 	swapDuration *telemetry.Histogram
 
 	// Sample store.

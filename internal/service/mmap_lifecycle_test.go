@@ -63,8 +63,8 @@ func TestMmapSwapLifecycle(t *testing.T) {
 					return
 				}
 				if g == 0 {
-					// Top-M screens with the int16 tables, which alias the
-					// arena like the weights do.
+					// Top-M screens with the int16 tables quantised at load
+					// from the weights, which alias the arena.
 					top := TopMRequest{Benchmark: "convolution", Device: devsim.IntelI7, M: 3}
 					if _, err := srv.TopM(&top); err != nil {
 						errs <- err

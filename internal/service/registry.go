@@ -242,12 +242,12 @@ func (r *Registry) Get(key ModelKey) (*core.Model, error) {
 }
 
 // load reads one artifact from the backend, zero-copy when it offers
-// mappings: a v4 model on a Mapper backend then serves straight out of
-// the page cache with no decode pass — install-to-servable cost stops
-// scaling with model size — and the mapping stays valid across
-// concurrent Puts because Mapper backends replace objects by rename
-// only. Older versions (and non-mapping backends) copy-decode exactly
-// as before.
+// mappings: a v4 model on a Mapper backend then serves its float64
+// weights straight out of the page cache with no weight copy (the int16
+// screening tables are quantised from them, as on every load), and the
+// mapping stays valid across concurrent Puts because Mapper backends
+// replace objects by rename only. Older versions (and non-mapping
+// backends) copy-decode exactly as before.
 func (r *Registry) load(name string) (*core.Model, error) {
 	if mp, ok := r.be.(storage.Mapper); ok {
 		d, _, err := mp.Map(name)
@@ -303,8 +303,8 @@ func (r *Registry) Put(key ModelKey, model *core.Model) error {
 // reach the registry.
 func (r *Registry) Install(key ModelKey, data []byte) (uint64, error) {
 	// LoadModelBytes, not LoadModel: a v4 artifact pulled over the wire
-	// installs zero-copy, aliasing the fetched buffer in place instead of
-	// decoding every weight onto the heap.
+	// installs its weights zero-copy, aliasing the fetched buffer in
+	// place instead of decoding every weight onto the heap.
 	model, err := core.LoadModelBytes(data, nil)
 	if err != nil {
 		return 0, fmt.Errorf("service: installing model %s: artifact does not parse: %w", key, err)
