@@ -33,16 +33,6 @@ func NetworkFromState(st NetworkState) (*Network, error) {
 	return networkFromState(st, false)
 }
 
-// NetworkFromStateShared is NetworkFromState without the defensive
-// weight copies: the network aliases st's weight slices directly. The
-// v4 arena loader uses it to serve straight out of a read-only memory
-// mapping — the result must never be mutated or trained (a write to
-// mapped weights faults), and the caller owns keeping the backing
-// store alive.
-func NetworkFromStateShared(st NetworkState) (*Network, error) {
-	return networkFromState(st, true)
-}
-
 func networkFromState(st NetworkState, share bool) (*Network, error) {
 	if len(st.Sizes) < 2 {
 		return nil, fmt.Errorf("ann: state has %d layer sizes, need at least 2", len(st.Sizes))
@@ -96,22 +86,23 @@ func (e *Ensemble) State() EnsembleState {
 
 // EnsembleFromState reconstructs an ensemble from exported state.
 func EnsembleFromState(st EnsembleState) (*Ensemble, error) {
-	return ensembleFromState(st, false, nil)
+	return ensembleFromState(st, false)
 }
 
-// EnsembleFromStateShared reconstructs an ensemble whose member
-// networks alias st's weight slices in place (see
-// NetworkFromStateShared); hold pins the slices' backing store — e.g. a
-// mmapx mapping — for the ensemble's lifetime.
-func EnsembleFromStateShared(st EnsembleState, hold any) (*Ensemble, error) {
-	return ensembleFromState(st, true, hold)
+// EnsembleFromStateShared is EnsembleFromState without the defensive
+// weight copies: the member networks alias st's weight slices in place.
+// The v4 model loader uses it to serve straight out of the loaded file
+// image, so the result must never be mutated or trained, and st's
+// weights must not be modified afterwards.
+func EnsembleFromStateShared(st EnsembleState) (*Ensemble, error) {
+	return ensembleFromState(st, true)
 }
 
-func ensembleFromState(st EnsembleState, share bool, hold any) (*Ensemble, error) {
+func ensembleFromState(st EnsembleState, share bool) (*Ensemble, error) {
 	if len(st.Nets) == 0 {
 		return nil, fmt.Errorf("ann: ensemble state has no member networks")
 	}
-	e := &Ensemble{nets: make([]*Network, len(st.Nets)), hold: hold}
+	e := &Ensemble{nets: make([]*Network, len(st.Nets))}
 	for i, ns := range st.Nets {
 		n, err := networkFromState(ns, share)
 		if err != nil {

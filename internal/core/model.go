@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/ann"
-	"repro/internal/mmapx"
 	"repro/internal/tuning"
 )
 
@@ -79,9 +78,6 @@ type Model struct {
 	// quantiser refuses the weights; top-M then scores every
 	// configuration exactly (see newScreen).
 	q16 *ann.QuantizedEnsemble
-	// arena pins the memory mapping backing a zero-copy loaded model
-	// (the float64 weights alias it); nil for heap-owned models.
-	arena *mmapx.Data
 	// persistVersion records the persistence version the model was loaded
 	// from; 0 for freshly trained models (see WeightFormat).
 	persistVersion int

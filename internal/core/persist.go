@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
@@ -10,7 +9,6 @@ import (
 	"os"
 
 	"repro/internal/ann"
-	"repro/internal/mmapx"
 	"repro/internal/tuning"
 )
 
@@ -33,17 +31,18 @@ import (
 //	  replica installs parse a flat buffer instead of paying gob's
 //	  reflective decode.
 //	version 4 — same header fields as v3, space-padded to a 64-byte
-//	  boundary, and the body is the zero-copy weight arena of
+//	  boundary, and the body is the section layout of
 //	  internal/core/persistbin4.go: 64-byte-aligned sections carrying
-//	  the float64 weights, laid out so LoadModelFile aliases them
-//	  straight out of a read-only memory mapping instead of copying.
+//	  the float64 weights, laid out so LoadModelBytes aliases them in
+//	  the loaded file image instead of copying.
 //
 // No version persists the int16 top-M screening tables: every load
 // quantises the ensemble exactly as training does (newLoadedModel).
 //
 // Save always writes version 4. Every v1–v3 artifact still loads
-// through the version-keyed decoder table. LoadModel returns
-// *UnsupportedVersionError for anything newer than maxModelVersion.
+// through the version-keyed decoder table. LoadModelBytes, the one
+// parser behind every load, returns *UnsupportedVersionError for
+// anything newer than maxModelVersion.
 const (
 	modelFormat     = "mltune-model"
 	modelVersion    = 1
@@ -108,7 +107,7 @@ type modelPayload struct {
 }
 
 // Save writes the model to w in the versioned persistence format: a
-// one-line JSON header followed by the version-4 arena body (see
+// one-line JSON header followed by the version-4 section body (see
 // persistbin4.go), whatever version the model was loaded from. Writing
 // is deterministic byte for byte, and a model saved on one machine
 // reloads with LoadModel to bit-identical predictions. Saving a bound
@@ -137,8 +136,9 @@ func (m *Model) Save(w io.Writer) error {
 		return fmt.Errorf("core: encoding model header: %w", err)
 	}
 	// Space-pad the header so the body starts at a 64-byte file offset:
-	// every v4 section payload then lands cache-line aligned in a memory
-	// mapping (JSON ignores trailing whitespace).
+	// every v4 section payload then starts at a 64-byte offset of the
+	// file image, and the float64 weights keep their natural alignment
+	// in any 8-aligned load buffer (JSON ignores trailing whitespace).
 	for (len(line)+1)%binAlign4 != 0 {
 		line = append(line, ' ')
 	}
@@ -217,19 +217,40 @@ func decodeSchemaV2(hdr *modelHeader, space *tuning.Space) (*tuning.FeatureSchem
 	return tuning.NewFeatureSchema(space, opts...), nil
 }
 
-// LoadModel reads a model previously written by Model.Save, dispatching
-// on the header version (see modelFormat). The tuning space and feature
-// schema are rebuilt from the header, so the loaded model predicts over
-// an equivalent space without needing the original benchmark definition.
-// Files written by a newer build fail with *UnsupportedVersionError.
+// LoadModel reads a model previously written by Model.Save from r (see
+// LoadModelBytes).
 func LoadModel(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	line, err := br.ReadBytes('\n')
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading model header: %w", err)
+		return nil, fmt.Errorf("core: reading model: %w", err)
+	}
+	return LoadModelBytes(data)
+}
+
+// LoadModelFile loads a model from the named file (see LoadModelBytes).
+func LoadModelFile(path string) (*Model, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return LoadModelBytes(data)
+}
+
+// LoadModelBytes loads a model from a file image written by Model.Save,
+// dispatching on the header version (see modelFormat). The tuning space
+// and feature schema are rebuilt from the header, so the loaded model
+// predicts over an equivalent space without needing the original
+// benchmark definition. Files written by a newer build fail with
+// *UnsupportedVersionError. A v4 model's float64 weights alias data in
+// place (no weight copy), so the caller must not modify data afterwards;
+// older versions decode by copying.
+func LoadModelBytes(data []byte) (*Model, error) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return nil, fmt.Errorf("core: model image has no header line")
 	}
 	var hdr modelHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
+	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
 		return nil, fmt.Errorf("core: parsing model header: %w", err)
 	}
 	if hdr.Format != modelFormat {
@@ -247,41 +268,43 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hdr.Version >= modelVersionV4 {
-		body, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading v4 model body: %w", err)
-		}
-		return finishLoadV4(&hdr, space, schema, body, nil)
+	scaler, ensemble, err := decodeBody(hdr.Version, data[nl+1:], hdr.Members)
+	if err != nil {
+		return nil, err
+	}
+	return newLoadedModel(&hdr, space, schema, scaler, ensemble)
+}
+
+// decodeBody decodes a model body of the given header version into its
+// scaler and ensemble.
+func decodeBody(version int, body []byte, members int) (ann.TargetScaler, *ann.Ensemble, error) {
+	if version >= modelVersionV4 {
+		return decodeBinaryPayloadV4(body, members)
 	}
 	var scaler ann.TargetScaler
 	var state ann.EnsembleState
-	if hdr.Version >= modelVersionV3 {
-		scaler, state, err = readBinaryPayload(br, hdr.Members)
-		if err != nil {
-			return nil, err
+	if version >= modelVersionV3 {
+		var err error
+		if scaler, state, err = decodeBinaryPayload(body, members); err != nil {
+			return scaler, nil, err
 		}
 	} else {
 		var payload modelPayload
-		if err := gob.NewDecoder(br).Decode(&payload); err != nil {
-			return nil, fmt.Errorf("core: decoding model payload: %w", err)
+		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&payload); err != nil {
+			return scaler, nil, fmt.Errorf("core: decoding model payload: %w", err)
 		}
 		scaler, state = payload.Scaler, payload.Ensemble
 	}
 	ensemble, err := ann.EnsembleFromState(state)
-	if err != nil {
-		return nil, err
-	}
-	return newLoadedModel(&hdr, space, schema, scaler, ensemble, nil)
+	return scaler, ensemble, err
 }
 
 // newLoadedModel assembles a Model from a decoded file, whatever its
 // version: it rebuilds the int16 screening tables from the weights with
 // the quantisation pass training runs, and checks the ensemble width
-// against the schema. arena, when non-nil, is the mapping the weights
-// alias, pinned by the model for its lifetime.
+// against the schema.
 func newLoadedModel(hdr *modelHeader, space *tuning.Space, schema *tuning.FeatureSchema,
-	scaler ann.TargetScaler, ensemble *ann.Ensemble, arena *mmapx.Data) (*Model, error) {
+	scaler ann.TargetScaler, ensemble *ann.Ensemble) (*Model, error) {
 	m := &Model{
 		space:          space,
 		schema:         schema,
@@ -289,7 +312,6 @@ func newLoadedModel(hdr *modelHeader, space *tuning.Space, schema *tuning.Featur
 		scaler:         scaler,
 		logT:           hdr.LogTransform,
 		q16:            quantizeScreen(ensemble),
-		arena:          arena,
 		persistVersion: hdr.Version,
 	}
 	if err := m.checkEnsembleWidth(); err != nil {
@@ -309,79 +331,6 @@ func (m *Model) checkEnsembleWidth() error {
 		}
 	}
 	return nil
-}
-
-// finishLoadV4 assembles a Model from a decoded v4 arena body.
-func finishLoadV4(hdr *modelHeader, space *tuning.Space, schema *tuning.FeatureSchema, body []byte, arena *mmapx.Data) (*Model, error) {
-	scaler, ensemble, err := decodeBinaryPayloadV4(body, hdr.Members, arena)
-	if err != nil {
-		return nil, err
-	}
-	return newLoadedModel(hdr, space, schema, scaler, ensemble, arena)
-}
-
-// LoadModelBytes loads a model from an in-memory file image — the
-// zero-copy install path. For a v4 image the returned model's float64
-// weights alias data in place (no weight copy; the int16 screening
-// tables are quantised from them, as on every load); arena, when
-// non-nil, is the memory mapping backing data and is pinned by the
-// model for its lifetime. Older versions decode by copying exactly like
-// LoadModel, and arena may then be closed by the caller once
-// LoadModelBytes returns.
-func LoadModelBytes(data []byte, arena *mmapx.Data) (*Model, error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("core: model image has no header line")
-	}
-	var hdr modelHeader
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		return nil, fmt.Errorf("core: parsing model header: %w", err)
-	}
-	if hdr.Format != modelFormat {
-		return nil, fmt.Errorf("core: not a saved model (format %q, want %q)", hdr.Format, modelFormat)
-	}
-	if _, ok := modelDecoders[hdr.Version]; !ok {
-		return nil, &UnsupportedVersionError{Version: hdr.Version, Max: maxModelVersion}
-	}
-	if hdr.Version < modelVersionV4 {
-		return LoadModel(bytes.NewReader(data))
-	}
-	space, err := spaceFromHeader(hdr.Space)
-	if err != nil {
-		return nil, err
-	}
-	schema, err := modelDecoders[hdr.Version](&hdr, space)
-	if err != nil {
-		return nil, err
-	}
-	return finishLoadV4(&hdr, space, schema, data[nl+1:], arena)
-}
-
-// LoadModelFile loads a model from the named file (see LoadModel),
-// memory-mapping it when the platform allows: a v4 model's float64
-// weights are then served straight out of the page cache, and its int16
-// screening tables are quantised from them onto the heap. The mapping
-// stays alive (and the file's disk blocks stay referenced) until the
-// model is garbage-collected. Older versions decode by copying and
-// release the mapping before returning.
-func LoadModelFile(path string) (*Model, error) {
-	d, err := mmapx.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return LoadModelData(d)
-}
-
-// LoadModelData loads a model from an already-opened mapping (e.g. a
-// storage backend's Mapper), taking ownership of it: a v4 model pins
-// the mapping for its lifetime, any other outcome — load error, or an
-// older version that decodes by copying — closes it before returning.
-func LoadModelData(d *mmapx.Data) (*Model, error) {
-	m, err := LoadModelBytes(d.Bytes(), d)
-	if err != nil || m.arena == nil {
-		d.Close()
-	}
-	return m, err
 }
 
 // spaceFromHeader validates and rebuilds a tuning space from a saved

@@ -298,9 +298,11 @@ func TestWeightFormatFreshModel(t *testing.T) {
 	}
 }
 
-// FuzzModelV3Codec feeds mutated model files to LoadModel: truncation
-// and corruption must produce errors, never panics, and any input that
-// does load must re-save deterministically.
+// FuzzModelV3Codec feeds mutated model files to LoadModel, and so to
+// LoadModelBytes, the one parser behind every version: truncation and
+// corruption must produce errors, never panics, and any input that does
+// load must re-save deterministically. The committed v3 golden file
+// seeds the v3 binary body decoder.
 func FuzzModelV3Codec(f *testing.F) {
 	space := tuning.NewSpace("fz", tuning.Pow2Param("wg", 1, 8), tuning.BoolParam("v"))
 	var samples []Sample
@@ -326,6 +328,11 @@ func FuzzModelV3Codec(f *testing.F) {
 	corrupt := append([]byte(nil), valid.Bytes()...)
 	corrupt[len(corrupt)-9] ^= 0x40
 	f.Add(corrupt)
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v3.mlt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadModel(bytes.NewReader(data))

@@ -5,12 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ann"
 	"repro/internal/devsim"
@@ -23,10 +24,11 @@ import (
 var retiredV4Sections = []string{"QNT8", "QLUT", "Q16T"}
 
 // TestGoldenV4ModelBitIdentical pins the arena layout itself: the
-// committed artifact must load bit-identically — through both the
-// copy (reader) and zero-copy (mmap) paths — with its int16 screen
-// rebuilt from the weights, AND Save must emit exactly the artifact
-// minus its retired sections, so the writer cannot drift silently.
+// committed artifact must load bit-identically — through the reader,
+// the file loader, and a misaligned image that forces the copy-decode
+// fallback big-endian hosts always take — with its int16 screen rebuilt
+// from the weights, AND Save must emit exactly the artifact minus its
+// retired sections, so the writer cannot drift silently.
 // The committed file is frozen: it was written by a build that
 // persisted the sections in retiredV4Sections, and it is the pin that
 // such files still load, so -update leaves it alone.
@@ -61,7 +63,11 @@ func TestGoldenV4ModelBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Copy path: the plain reader.
+	// Aliasing path: the image is 8-aligned, so on a little-endian host
+	// the weights alias it in place.
+	if _, ok := float64s(raw[nl+1 : nl+9]); littleEndian && !ok {
+		t.Fatal("float64s refused the 8-aligned golden image")
+	}
 	model, err := LoadModel(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -71,25 +77,30 @@ func TestGoldenV4ModelBitIdentical(t *testing.T) {
 	}
 	preds := readGoldenPredictions(t, predPath)
 	checkGoldenPredictions(t, model, preds)
-
-	// Zero-copy path: the memory mapping. Predictions must match bit for
-	// bit and, on mmap platforms, actually serve out of the mapping.
-	mapped, err := LoadModelFile(modelPath)
+	fromFile, err := LoadModelFile(modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mapped.arena == nil {
-		t.Fatal("v4 LoadModelFile did not retain the arena")
-	}
-	if runtime.GOOS == "linux" && !mapped.arena.Mapped() {
-		t.Fatal("v4 arena is not memory-mapped on linux")
-	}
-	checkGoldenPredictions(t, mapped, preds)
+	checkGoldenPredictions(t, fromFile, preds)
 
-	// Both loads quantise the weights, and the screen engages once the
+	// Copy-decode fallback: the same image one byte off 8-alignment, so
+	// float64s refuses every section and the weights are decoded.
+	shifted := make([]byte, len(raw)+1)[1:]
+	copy(shifted, raw)
+	if _, ok := float64s(shifted[nl+1 : nl+9]); ok {
+		t.Fatal("float64s accepted a misaligned image")
+	}
+	copied, err := LoadModelBytes(shifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenPredictions(t, copied, preds)
+
+	// Every load quantises the weights, and the screen engages once the
 	// model is bound to the golden device.
+	loaded := []*Model{model, fromFile, copied}
 	desc := devsim.MustLookup(devsim.NvidiaK40).Descriptor()
-	for _, m := range []*Model{model, mapped} {
+	for _, m := range loaded {
 		if m.q16 == nil {
 			t.Fatal("v4 load did not build the int16 tables")
 		}
@@ -102,10 +113,10 @@ func TestGoldenV4ModelBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Byte-stability: re-saving either loaded model reproduces the
+	// Byte-stability: re-saving any loaded model reproduces the
 	// artifact exactly, less the retired sections.
 	want := withoutV4Sections(t, raw, retiredV4Sections...)
-	for _, m := range []*Model{model, mapped} {
+	for _, m := range loaded {
 		var out bytes.Buffer
 		if err := m.Save(&out); err != nil {
 			t.Fatal(err)
@@ -175,7 +186,7 @@ func FuzzModelV4Codec(f *testing.F) {
 	f.Add(golden)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := LoadModelBytes(data, nil)
+		m, err := LoadModelBytes(data)
 		if err != nil {
 			return // rejecting is fine; not panicking is the property
 		}
@@ -190,6 +201,50 @@ func FuzzModelV4Codec(f *testing.F) {
 			t.Fatal("Save is not deterministic")
 		}
 	})
+}
+
+// alignedBuf returns an 8-byte-aligned buffer of n bytes (backed by a
+// []uint64 so the alignment is guaranteed, not incidental); slicing a
+// byte off the front yields a deliberately misaligned view.
+func alignedBuf(n int) []byte {
+	raw := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(raw))), len(raw)*8)[:n]
+}
+
+func TestFloat64sRoundTrip(t *testing.T) {
+	if !littleEndian {
+		t.Skip("float64s never aliases on a big-endian host")
+	}
+	vals := []float64{0, 1.5, -2.25, math.Pi, math.Inf(1)}
+	buf := alignedBuf(8 * len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+	}
+	got, ok := float64s(buf)
+	if !ok {
+		t.Fatalf("float64s refused an aligned buffer")
+	}
+	for i, v := range vals {
+		if got[i] != v {
+			t.Fatalf("got[%d] = %v, want %v", i, got[i], v)
+		}
+	}
+	if _, ok := float64s(buf[:12]); ok {
+		t.Fatalf("accepted a length not a multiple of 8")
+	}
+}
+
+func TestMisalignedRejected(t *testing.T) {
+	buf := alignedBuf(24)
+	if _, ok := float64s(buf[1:17]); ok {
+		t.Fatalf("float64s accepted a misaligned buffer")
+	}
+}
+
+func TestEmptyReinterpretation(t *testing.T) {
+	if s, ok := float64s(nil); littleEndian && (!ok || s != nil) {
+		t.Fatalf("float64s(nil): ok=%v s=%v", ok, s)
+	}
 }
 
 // benchInstallModel builds a synthetic model with the given ensemble
@@ -220,14 +275,16 @@ func benchInstallModel(b *testing.B, members, hidden int) *Model {
 	}
 }
 
-// BenchmarkModelInstall measures install-to-servable latency per
-// persistence version and model size. Both versions rebuild the int16
-// screening tables from the weights, so both grow with the weight
-// count; v4 skips the weight copy v3 pays (the mmap open and section
-// walk touch metadata only, and the quantisation pass reads the mapped
-// weights in place). Measured on a 2-vCPU Linux host, median of five
-// 500-iteration runs: v4 small ≈ 75 µs and v4 large ≈ 350 µs (most of
-// it the quantisation pass), against roughly 130 µs and 1.2 ms for v3.
+// BenchmarkModelInstall measures LoadModelFile's file-to-servable
+// latency per persistence version and model size. Every load reads the
+// file into one heap buffer and rebuilds the int16 screening tables
+// from the weights, so both versions grow with the weight count; v4
+// skips the weight decode v3 pays (the section walk touches metadata
+// only, and the quantisation pass reads the weights in place in the
+// buffer). Measured on a 2-vCPU Linux host, median of seven
+// interleaved 500-iteration runs: v4 small ≈ 33 µs and v4 large
+// ≈ 186 µs (most of it the quantisation pass), against ≈ 38 µs and
+// ≈ 271 µs for v3.
 func BenchmarkModelInstall(b *testing.B) {
 	for _, size := range []struct {
 		name            string

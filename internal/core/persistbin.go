@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/ann"
@@ -21,9 +20,8 @@ import (
 //
 // Every section payload is padded to an 8-byte boundary *relative to
 // the magic*, and the section header is 8 bytes, so each section —
-// including the raw weight block — starts 8-aligned within the body:
-// an mmap-based reader can point float64 slices at the WGTS payload in
-// place. Unknown tags are skipped on read (additive sections stay
+// including the raw weight block — starts 8-aligned within the body.
+// Unknown tags are skipped on read (additive sections stay
 // backward compatible); the three defined sections are:
 //
 //	"SCAL"  target scaler: Mean, Std            (2 × float64)
@@ -160,17 +158,13 @@ func (c *binCursor) u32() (uint32, error) {
 	return binary.LittleEndian.Uint32(p), nil
 }
 
-// readBinaryPayload parses a v3 body into the scaler and ensemble state.
-// members is the header's advertised member count, cross-checked against
-// the shape section.
-func readBinaryPayload(r io.Reader, members int) (ann.TargetScaler, ann.EnsembleState, error) {
+// decodeBinaryPayload parses a v3 body into the scaler and ensemble
+// state. members is the header's advertised member count, cross-checked
+// against the shape section.
+func decodeBinaryPayload(body []byte, members int) (ann.TargetScaler, ann.EnsembleState, error) {
 	var scaler ann.TargetScaler
 	var st ann.EnsembleState
 
-	body, err := io.ReadAll(r)
-	if err != nil {
-		return scaler, st, fmt.Errorf("core: reading v3 model body: %w", err)
-	}
 	c := &binCursor{buf: body}
 	magic, err := c.take(8)
 	if err != nil {
@@ -314,8 +308,8 @@ func shapeWeightCount(nets []ann.NetworkState) int {
 }
 
 // decodeWeightSection fills nets' Weights by copying out of a WGTS
-// payload (the byte-order-independent path; the v4 loader's
-// zero-copy alias path lives in persistbin4.go).
+// payload: the byte-order-independent path of every version (the v4
+// loader's zero-copy alias path, float64s, lives in persistbin4.go).
 func decodeWeightSection(nets []ann.NetworkState, weights []byte) error {
 	totalWeights := shapeWeightCount(nets)
 	if len(weights) != totalWeights*8 {

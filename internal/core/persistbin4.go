@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"repro/internal/ann"
-	"repro/internal/mmapx"
 )
 
 // Version-4 binary model body: the zero-copy weight arena.
@@ -16,7 +16,7 @@ import (
 // gob stream, but installing still copied every weight to the heap.
 // The v4 body removes the copy. It is a single contiguous arena laid
 // out so a loader can point the ensemble's float64 weight slices
-// straight into a read-only memory mapping of the file:
+// straight into the file image it loaded:
 //
 //	magic   "MLT4" + 4 reserved zero bytes, padded to 64   (64 bytes)
 //	section tag[4] | uint32 length | 56 reserved zero bytes (64-byte
@@ -24,7 +24,7 @@ import (
 //
 // The JSON header line above the body is space-padded so the body —
 // and therefore every section payload — starts at a 64-byte *file*
-// offset: payloads are cache-line aligned in the mapping, and the
+// offset: in any 8-aligned image (every heap buffer of that size) the
 // float64 weights land on their natural alignment. Sections:
 //
 //	"SCAL"  target scaler: Mean, Std                (2 × float64)
@@ -156,12 +156,9 @@ func parseV4Sections(body []byte) (*v4Sections, error) {
 }
 
 // decodeBinaryPayloadV4 decodes a v4 body into its scaler and ensemble.
-// arena, when non-nil, is the memory mapping backing body; it is
-// threaded through as the hold reference of the ensemble, which aliases
-// the body in place. With a nil arena (heap-owned body) aliasing is
-// still safe — the slices keep the buffer alive — so installs skip the
-// weight copy either way.
-func decodeBinaryPayloadV4(body []byte, members int, arena *mmapx.Data) (ann.TargetScaler, *ann.Ensemble, error) {
+// The ensemble aliases body in place when float64s can reinterpret it;
+// the aliased slices keep the buffer alive on their own.
+func decodeBinaryPayloadV4(body []byte, members int) (ann.TargetScaler, *ann.Ensemble, error) {
 	secs, err := parseV4Sections(body)
 	if err != nil {
 		return ann.TargetScaler{}, nil, err
@@ -181,7 +178,7 @@ func decodeBinaryPayloadV4(body []byte, members int, arena *mmapx.Data) (ann.Tar
 	// Zero-copy install: alias the weight arena in place. The fallback
 	// copy-decode covers big-endian hosts and misaligned buffers.
 	var ensemble *ann.Ensemble
-	if ws, ok := mmapx.Float64s(secs.weights); ok {
+	if ws, ok := float64s(secs.weights); ok {
 		off := 0
 		for i := range nets {
 			n := &nets[i]
@@ -192,7 +189,7 @@ func decodeBinaryPayloadV4(body []byte, members int, arena *mmapx.Data) (ann.Tar
 				off += cnt
 			}
 		}
-		ensemble, err = ann.EnsembleFromStateShared(ann.EnsembleState{Nets: nets}, arena)
+		ensemble, err = ann.EnsembleFromStateShared(ann.EnsembleState{Nets: nets})
 	} else {
 		if err := decodeWeightSection(nets, secs.weights); err != nil {
 			return ann.TargetScaler{}, nil, err
@@ -203,4 +200,25 @@ func decodeBinaryPayloadV4(body []byte, members int, arena *mmapx.Data) (ann.Tar
 		return ann.TargetScaler{}, nil, err
 	}
 	return scaler, ensemble, nil
+}
+
+// littleEndian reports whether the host matches the arena's on-disk
+// byte order; reinterpretation is only valid when it does.
+var littleEndian = func() bool {
+	var probe [2]byte
+	binary.LittleEndian.PutUint16(probe[:], 1)
+	return binary.NativeEndian.Uint16(probe[:]) == 1
+}()
+
+// float64s reinterprets b as little-endian float64s in place. ok is
+// false — and the caller must copy-decode instead — when the host is
+// big-endian, b's length is not a multiple of 8, or b is not 8-aligned.
+func float64s(b []byte) (s []float64, ok bool) {
+	if !littleEndian || len(b)%8 != 0 || uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 != 0 {
+		return nil, false
+	}
+	if len(b) == 0 {
+		return nil, true
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8), true
 }

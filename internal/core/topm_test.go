@@ -55,8 +55,8 @@ func paperConvolutionModel(t testing.TB) *Model {
 }
 
 // v4LoadedConvolutionModel is paperConvolutionModel taken through
-// SaveFile and the memory-mapped LoadModelFile: its int16 tables are the
-// ones every load rebuilds from the file's weights.
+// SaveFile and LoadModelFile: its int16 tables are the ones every load
+// rebuilds from the file's weights.
 func v4LoadedConvolutionModel(t testing.TB) *Model {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "conv.mlt")
@@ -66,9 +66,6 @@ func v4LoadedConvolutionModel(t testing.TB) *Model {
 	m, err := LoadModelFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.arena == nil {
-		t.Fatal("v4 LoadModelFile did not retain the arena")
 	}
 	return m
 }
@@ -151,8 +148,8 @@ func refusedTestModel(t testing.TB) *Model {
 //
 //   - "int16": a freshly trained model takes the int16 screen, which
 //     must prune — fewer than 5% of the space pays an exact score;
-//   - "v4-loaded": the same model saved and loaded back through the
-//     memory mapping takes the int16 screen its load quantised, under
+//   - "v4-loaded": the same model saved and loaded back through
+//     LoadModelFile takes the int16 screen its load quantised, under
 //     the same pruning requirement;
 //   - "exact-out-of-domain": a portable model bound to an out-of-domain
 //     descriptor takes the exact sweep, because the int16 error proof

@@ -34,8 +34,7 @@ import (
 // carries the generation its reader observed before the registry
 // lookup; a fill whose generation is stale is served but not stored, so
 // an invalidated slot is never repopulated with a replaced model (which
-// would pin it, and on the mapped path its arena, until the key's next
-// request).
+// would pin it until the key's next request).
 type serveCache struct {
 	m *cacheMetrics // nil-safe: a bare cache runs unmetered
 

@@ -241,26 +241,16 @@ func (r *Registry) Get(key ModelKey) (*core.Model, error) {
 	return m, nil
 }
 
-// load reads one artifact from the backend, zero-copy when it offers
-// mappings: a v4 model on a Mapper backend then serves its float64
-// weights straight out of the page cache with no weight copy (the int16
-// screening tables are quantised from them, as on every load), and the
-// mapping stays valid across concurrent Puts because Mapper backends
-// replace objects by rename only. Older versions (and non-mapping
-// backends) copy-decode exactly as before.
+// load reads one artifact from the backend, whichever it is, and
+// parses it: a v4 model's float64 weights alias the fetched buffer with
+// no weight copy (the int16 screening tables are quantised from them,
+// as on every load).
 func (r *Registry) load(name string) (*core.Model, error) {
-	if mp, ok := r.be.(storage.Mapper); ok {
-		d, _, err := mp.Map(name)
-		if err != nil {
-			return nil, err
-		}
-		return core.LoadModelData(d) // takes ownership of the mapping
-	}
 	data, _, err := r.be.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return core.LoadModelBytes(data, nil)
+	return core.LoadModelBytes(data)
 }
 
 // GetRaw returns key's serialised artifact bytes and generation — the
@@ -302,10 +292,10 @@ func (r *Registry) Put(key ModelKey, model *core.Model) error {
 // extra load, and a corrupt or truncated upstream response can never
 // reach the registry.
 func (r *Registry) Install(key ModelKey, data []byte) (uint64, error) {
-	// LoadModelBytes, not LoadModel: a v4 artifact pulled over the wire
-	// installs its weights zero-copy, aliasing the fetched buffer in
-	// place instead of decoding every weight onto the heap.
-	model, err := core.LoadModelBytes(data, nil)
+	// A v4 artifact pulled over the wire installs its weights
+	// zero-copy, aliasing the fetched buffer in place instead of
+	// decoding every weight onto the heap.
+	model, err := core.LoadModelBytes(data)
 	if err != nil {
 		return 0, fmt.Errorf("service: installing model %s: artifact does not parse: %w", key, err)
 	}

@@ -176,56 +176,3 @@ func TestLocalFSDeleteForgetsGeneration(t *testing.T) {
 		t.Error("re-created object has zero generation")
 	}
 }
-
-// TestLocalFSMapper pins the Mapper contract on localfs: Map returns
-// the object's exact bytes (memory-mapped on platforms that support
-// it), a generation consistent with Stat, and — because replacement is
-// rename-only — an existing mapping keeps serving the old contents
-// unchanged after the object is replaced or deleted.
-func TestLocalFSMapper(t *testing.T) {
-	be, err := storage.OpenLocalFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, ok := be.(storage.Mapper)
-	if !ok {
-		t.Fatal("localfs does not implement storage.Mapper")
-	}
-	if _, _, err := mp.Map("absent"); !errors.Is(err, storage.ErrNotExist) {
-		t.Fatalf("Map(absent) = %v, want ErrNotExist", err)
-	}
-	old := []byte("generation one contents")
-	if _, err := be.Put("model.mlt", old); err != nil {
-		t.Fatal(err)
-	}
-	d, info, err := mp.Map("model.mlt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if !bytes.Equal(d.Bytes(), old) {
-		t.Fatalf("mapped bytes = %q, want %q", d.Bytes(), old)
-	}
-	if info.Size != int64(len(old)) {
-		t.Fatalf("info.Size = %d, want %d", info.Size, len(old))
-	}
-	st, err := be.Stat("model.mlt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Generation != st.Generation {
-		t.Fatalf("Map generation %d != Stat generation %d", info.Generation, st.Generation)
-	}
-
-	// Replace and delete under the live mapping: rename-only replacement
-	// means the mapped inode — and therefore these bytes — cannot change.
-	if _, err := be.Put("model.mlt", []byte("generation two, longer than before")); err != nil {
-		t.Fatal(err)
-	}
-	if err := be.Delete("model.mlt"); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d.Bytes(), old) {
-		t.Fatal("mapping changed after the object was replaced and deleted")
-	}
-}
